@@ -7,11 +7,10 @@
 //! IDCT keeps a single evaluation cheap enough for stable samples; the
 //! grid matches the acceptance test in `adhls-explore`.
 
-use adhls_core::sched::HlsOptions;
-use adhls_explore::pool::{EvaluatorPool, PoolOptions};
+use adhls_bench::pool;
+use adhls_explore::pool::PoolOptions;
 use adhls_explore::refine::{refine, RefineOptions};
-use adhls_explore::{Engine, EngineOptions, SweepCell, SweepGrid};
-use adhls_reslib::tsmc90;
+use adhls_explore::{SweepCell, SweepGrid};
 use adhls_workloads::idct;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -25,61 +24,49 @@ fn build(cell: &SweepCell) -> adhls_ir::Design {
     idct::build_1d(cell.cycles)
 }
 
+fn skip_infeasible() -> PoolOptions {
+    PoolOptions {
+        skip_infeasible: true,
+        ..Default::default()
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let _metrics = adhls_bench::metrics_dump("explore_adaptive");
-    let lib = tsmc90::library();
     let grid = grid();
     let points = grid.expand("idct", build).expect("grid expands");
     println!("IDCT-1D grid: {} cells", points.len());
 
     c.bench_function("adaptive/idct1d_exhaustive_sweep", |b| {
         b.iter(|| {
-            let engine = Engine::with_options(
-                &lib,
-                HlsOptions::default(),
-                EngineOptions {
-                    skip_infeasible: true,
-                    ..Default::default()
-                },
-            );
-            black_box(engine.evaluate(&points).expect("sweep runs").rows.len())
+            let rows = pool(skip_infeasible())
+                .evaluate(&points)
+                .expect("sweep runs")
+                .rows;
+            black_box(rows.len())
         })
     });
 
     c.bench_function("adaptive/idct1d_refine_cold", |b| {
         b.iter(|| {
-            let engine = Engine::with_options(
-                &lib,
-                HlsOptions::default(),
-                EngineOptions {
-                    skip_infeasible: true,
-                    ..Default::default()
-                },
-            );
-            let r = refine(&engine, &grid, "idct", build, &RefineOptions::default())
-                .expect("refinement runs");
+            let r = refine(
+                &pool(skip_infeasible()),
+                &grid,
+                "idct",
+                build,
+                &RefineOptions::default(),
+            )
+            .expect("refinement runs");
             black_box((r.evaluated, r.front.len()))
         })
     });
 
-    // The serving path: the pool (and its cache) outlives requests. The
-    // global registry stands in for the pool's own so a recording run
-    // (benches/record.sh) captures pool latency histograms too; unmetered
-    // runs see a disabled registry either way.
-    let pool = EvaluatorPool::with_telemetry(
-        tsmc90::library(),
-        HlsOptions::default(),
-        PoolOptions {
-            threads: 0,
-            skip_infeasible: true,
-            ..Default::default()
-        },
-        adhls_telemetry::global().clone(),
-    );
-    refine(&pool, &grid, "idct", build, &RefineOptions::default()).expect("warmup");
+    // The serving path: the pool (and its cache) outlives requests.
+    let warm = pool(skip_infeasible());
+    refine(&warm, &grid, "idct", build, &RefineOptions::default()).expect("warmup");
     c.bench_function("adaptive/idct1d_refine_warm_pool", |b| {
         b.iter(|| {
-            let r = refine(&pool, &grid, "idct", build, &RefineOptions::default())
+            let r = refine(&warm, &grid, "idct", build, &RefineOptions::default())
                 .expect("refinement runs");
             black_box((r.evaluated, r.front.len()))
         })

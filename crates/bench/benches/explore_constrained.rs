@@ -12,12 +12,10 @@
 //!   `[area,power]` costs less than the sum of the two dedicated runs,
 //!   because every evaluation is shared across the planes.
 
-use adhls_core::sched::HlsOptions;
 use adhls_explore::constraint::Constraint;
 use adhls_explore::pareto::{pareto_front_in_constrained, ObjectiveSpace};
 use adhls_explore::refine::{refine, refine_multi, RefineOptions};
-use adhls_explore::{Engine, EngineOptions, SweepCell, SweepGrid};
-use adhls_reslib::tsmc90;
+use adhls_explore::{EvaluatorPool, PoolOptions, SweepCell, SweepGrid};
 use adhls_workloads::idct;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -41,20 +39,15 @@ fn constraints() -> Vec<Constraint> {
     ]
 }
 
-fn engine(lib: &adhls_reslib::Library) -> Engine<'_> {
-    Engine::with_options(
-        lib,
-        HlsOptions::default(),
-        EngineOptions {
-            skip_infeasible: true,
-            ..Default::default()
-        },
-    )
+fn pool() -> EvaluatorPool {
+    adhls_bench::pool(PoolOptions {
+        skip_infeasible: true,
+        ..Default::default()
+    })
 }
 
 fn bench(c: &mut Criterion) {
     let _metrics = adhls_bench::metrics_dump("explore_constrained");
-    let lib = tsmc90::library();
     let grid = grid();
     let space = ObjectiveSpace::parse("area,latency,power").expect("valid space");
     let cs = constraints();
@@ -64,7 +57,7 @@ fn bench(c: &mut Criterion) {
     // Baseline: evaluate every cell, filter the front afterwards.
     c.bench_function("constrained/idct1d_exhaustive_sweep_plus_filter", |b| {
         b.iter(|| {
-            let rows = engine(&lib).evaluate(&points).expect("sweep runs").rows;
+            let rows = pool().evaluate(&points).expect("sweep runs").rows;
             black_box(pareto_front_in_constrained(&space, &cs, &rows).len())
         })
     });
@@ -73,7 +66,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("constrained/idct1d_constrained_refine", |b| {
         b.iter(|| {
             let r = refine(
-                &engine(&lib),
+                &pool(),
                 &grid,
                 "idct",
                 build,
@@ -93,7 +86,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("constrained/idct1d_two_plane_refine_one_pass", |b| {
         b.iter(|| {
             let r = refine_multi(
-                &engine(&lib),
+                &pool(),
                 &grid,
                 "idct",
                 build,
@@ -109,7 +102,7 @@ fn bench(c: &mut Criterion) {
             let mut evaluated = 0;
             for plane in &planes {
                 let r = refine(
-                    &engine(&lib),
+                    &pool(),
                     &grid,
                     "idct",
                     build,

@@ -14,9 +14,7 @@
 //! pay. Tracked per PR in `BENCH_<n>.json`.
 
 use adhls_core::dse::DsePoint;
-use adhls_core::sched::HlsOptions;
-use adhls_explore::{Engine, EngineOptions};
-use adhls_reslib::tsmc90;
+use adhls_explore::{EvaluatorPool, PoolOptions};
 use adhls_workloads::{fir, idct};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -52,22 +50,16 @@ fn fir_grid() -> Vec<DsePoint> {
     pts
 }
 
-fn engine(lib: &adhls_reslib::Library, incremental: bool) -> Engine<'_> {
-    Engine::with_options(
-        lib,
-        HlsOptions::default(),
-        EngineOptions {
-            threads: 1,
-            skip_infeasible: false,
-            incremental,
-            ..Default::default()
-        },
-    )
+fn serial_pool(incremental: bool) -> EvaluatorPool {
+    adhls_bench::pool(PoolOptions {
+        threads: 1,
+        incremental,
+        ..Default::default()
+    })
 }
 
 fn bench(c: &mut Criterion) {
     let _metrics = adhls_bench::metrics_dump("explore_incremental");
-    let lib = tsmc90::library();
 
     for (grid_name, points) in [("idct1d", idct1d_grid()), ("fir", fir_grid())] {
         // The contract first, the clock second: both paths must produce
@@ -76,14 +68,14 @@ fn bench(c: &mut Criterion) {
         let was = adhls_telemetry::global().is_enabled();
         adhls_telemetry::global().set_enabled(true);
         let before = adhls_telemetry::global().snapshot();
-        let warm_rows = engine(&lib, true)
-            .evaluate_serial(&points)
+        let warm_rows = serial_pool(true)
+            .evaluate(&points)
             .expect("grid schedules")
             .rows;
         let after = adhls_telemetry::global().snapshot();
         adhls_telemetry::global().set_enabled(was);
-        let cold_rows = engine(&lib, false)
-            .evaluate_serial(&points)
+        let cold_rows = serial_pool(false)
+            .evaluate(&points)
             .expect("grid schedules")
             .rows;
         assert_eq!(warm_rows, cold_rows, "{grid_name}: rows must not move");
@@ -96,14 +88,14 @@ fn bench(c: &mut Criterion) {
             hits
         );
 
-        // Fresh engine per iteration: the result cache must not answer for
+        // Fresh pool per iteration: the result cache must not answer for
         // the pipeline, and the prefix cache starts empty so the measured
         // sharing is purely within-sweep — what one `adhls explore` run sees.
         c.bench_function(&format!("explore/{grid_name}_incremental"), |b| {
             b.iter(|| {
                 black_box(
-                    engine(&lib, true)
-                        .evaluate_serial(&points)
+                    serial_pool(true)
+                        .evaluate(&points)
                         .expect("grid schedules")
                         .rows
                         .len(),
@@ -113,8 +105,8 @@ fn bench(c: &mut Criterion) {
         c.bench_function(&format!("explore/{grid_name}_scratch"), |b| {
             b.iter(|| {
                 black_box(
-                    engine(&lib, false)
-                        .evaluate_serial(&points)
+                    serial_pool(false)
+                        .evaluate(&points)
                         .expect("grid schedules")
                         .rows
                         .len(),

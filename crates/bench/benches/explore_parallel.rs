@@ -1,20 +1,25 @@
-//! Exploration-engine throughput: serial vs parallel sweep evaluation on
-//! the IDCT fleet, plus the memo-cache fast path.
+//! Exploration throughput: serial vs parallel sweep evaluation on the IDCT
+//! fleet, plus the memo-cache fast path.
 //!
-//! Tracks the speedup the work-stealing evaluator buys over the serial
-//! reference (one point per `b.iter` would hide load imbalance, so each
-//! iteration evaluates the whole fleet with a fresh cache), and how cheap
-//! a fully-cached re-sweep is.
+//! Tracks the speedup the pool's worker threads buy over a one-thread pool
+//! (one point per `b.iter` would hide load imbalance, so each iteration
+//! evaluates the whole fleet on a fresh pool with a cold cache), and how
+//! cheap a fully-cached re-sweep is.
 
-use adhls_core::sched::HlsOptions;
-use adhls_explore::{Engine, EngineOptions};
-use adhls_reslib::tsmc90;
+use adhls_bench::pool;
+use adhls_explore::PoolOptions;
 use adhls_workloads::sweep;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
+fn threads(threads: usize) -> PoolOptions {
+    PoolOptions {
+        threads,
+        ..Default::default()
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let _metrics = adhls_bench::metrics_dump("explore_parallel");
-    let lib = tsmc90::library();
     // A mid-size IDCT grid: big enough for load imbalance to matter,
     // small enough to iterate (the full Table 4 fleet is a long bench).
     let points = sweep::idct_sweep(&[2200, 3000], &[16, 24, 32], &[None]);
@@ -23,76 +28,39 @@ fn bench(c: &mut Criterion) {
         points.len(),
         points[0].design.dfg.len_ops()
     );
+    let sweep = |t: usize| {
+        pool(threads(t))
+            .evaluate(&points)
+            .expect("fleet schedules")
+            .rows
+            .len()
+    };
 
-    c.bench_function("explore/idct_serial", |b| {
-        b.iter(|| {
-            let engine = Engine::new(&lib, HlsOptions::default());
-            black_box(
-                engine
-                    .evaluate_serial(&points)
-                    .expect("fleet schedules")
-                    .rows
-                    .len(),
-            )
-        })
-    });
-
-    for threads in [2usize, 4] {
-        c.bench_function(&format!("explore/idct_parallel_t{threads}"), |b| {
-            b.iter(|| {
-                let engine = Engine::with_options(
-                    &lib,
-                    HlsOptions::default(),
-                    EngineOptions {
-                        threads,
-                        ..Default::default()
-                    },
-                );
-                black_box(
-                    engine
-                        .evaluate(&points)
-                        .expect("fleet schedules")
-                        .rows
-                        .len(),
-                )
-            })
+    c.bench_function("explore/idct_serial", |b| b.iter(|| black_box(sweep(1))));
+    for t in [2usize, 4] {
+        c.bench_function(&format!("explore/idct_parallel_t{t}"), |b| {
+            b.iter(|| black_box(sweep(t)))
         });
     }
 
     // The telemetry-overhead check: the same 4-thread fleet sweep with
-    // every meter live (the engine's workers record into the enabled
-    // global registry). Compare against explore/idct_parallel_t4 — the
+    // every meter live (the pool records into the enabled global
+    // registry). Compare against explore/idct_parallel_t4 — the
     // observability layer's acceptance bar is <2% between the two.
     // Restores the registry's prior state so later benches (and a
     // recording run's enablement) are unaffected.
     c.bench_function("explore/idct_parallel_t4_telemetry", |b| {
         let was = adhls_telemetry::global().is_enabled();
         adhls_telemetry::global().set_enabled(true);
-        b.iter(|| {
-            let engine = Engine::with_options(
-                &lib,
-                HlsOptions::default(),
-                EngineOptions {
-                    threads: 4,
-                    ..Default::default()
-                },
-            );
-            black_box(
-                engine
-                    .evaluate(&points)
-                    .expect("fleet schedules")
-                    .rows
-                    .len(),
-            )
-        });
+        b.iter(|| black_box(sweep(4)));
         adhls_telemetry::global().set_enabled(was);
     });
 
     // The memoized path: everything already evaluated once.
-    let warm = Engine::new(&lib, HlsOptions::default());
-    warm.evaluate_serial(&points).expect("fleet schedules");
+    let warm = pool(threads(1));
+    warm.evaluate(&points).expect("fleet schedules");
     c.bench_function("explore/idct_cached_resweep", |b| {
-        b.iter(|| black_box(warm.evaluate_serial(&points).expect("cached").rows.len()))
+        b.iter(|| black_box(warm.evaluate(&points).expect("cached").rows.len()))
     });
 }
 

@@ -9,12 +9,11 @@
 //! exercises). The warm-pool case tracks the serving path, where a second
 //! power-aware request answers from cache.
 
-use adhls_core::sched::HlsOptions;
+use adhls_bench::pool;
 use adhls_explore::pareto::{pareto_front_in, ObjectiveSpace};
-use adhls_explore::pool::{EvaluatorPool, PoolOptions};
+use adhls_explore::pool::PoolOptions;
 use adhls_explore::refine::{refine, RefineOptions};
-use adhls_explore::{Engine, EngineOptions, SweepCell, SweepGrid};
-use adhls_reslib::tsmc90;
+use adhls_explore::{SweepCell, SweepGrid};
 use adhls_workloads::idct;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -35,9 +34,15 @@ fn power_opts() -> RefineOptions {
     }
 }
 
+fn skip_infeasible() -> PoolOptions {
+    PoolOptions {
+        skip_infeasible: true,
+        ..Default::default()
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let _metrics = adhls_bench::metrics_dump("explore_power");
-    let lib = tsmc90::library();
     let grid = grid();
     let space = ObjectiveSpace::parse("area,power").expect("valid plane");
     let points = grid.expand("idct", build).expect("grid expands");
@@ -45,52 +50,34 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("power/idct1d_exhaustive_sweep_with_plane_front", |b| {
         b.iter(|| {
-            let engine = Engine::with_options(
-                &lib,
-                HlsOptions::default(),
-                EngineOptions {
-                    skip_infeasible: true,
-                    ..Default::default()
-                },
-            );
-            let rows = engine.evaluate(&points).expect("sweep runs").rows;
+            let rows = pool(skip_infeasible())
+                .evaluate(&points)
+                .expect("sweep runs")
+                .rows;
             black_box(pareto_front_in(&space, &rows).len())
         })
     });
 
     c.bench_function("power/idct1d_refine_cold", |b| {
         b.iter(|| {
-            let engine = Engine::with_options(
-                &lib,
-                HlsOptions::default(),
-                EngineOptions {
-                    skip_infeasible: true,
-                    ..Default::default()
-                },
-            );
-            let r = refine(&engine, &grid, "idct", build, &power_opts())
-                .expect("power-aware refinement runs");
+            let r = refine(
+                &pool(skip_infeasible()),
+                &grid,
+                "idct",
+                build,
+                &power_opts(),
+            )
+            .expect("power-aware refinement runs");
             black_box((r.evaluated, r.front.len()))
         })
     });
 
-    // The serving path: the pool (and its cache) outlives requests. The
-    // global registry stands in for the pool's own so a recording run
-    // captures its latency histograms; disabled (free) otherwise.
-    let pool = EvaluatorPool::with_telemetry(
-        tsmc90::library(),
-        HlsOptions::default(),
-        PoolOptions {
-            threads: 0,
-            skip_infeasible: true,
-            ..Default::default()
-        },
-        adhls_telemetry::global().clone(),
-    );
-    refine(&pool, &grid, "idct", build, &power_opts()).expect("warmup");
+    // The serving path: the pool (and its cache) outlives requests.
+    let warm = pool(skip_infeasible());
+    refine(&warm, &grid, "idct", build, &power_opts()).expect("warmup");
     c.bench_function("power/idct1d_refine_warm_pool", |b| {
         b.iter(|| {
-            let r = refine(&pool, &grid, "idct", build, &power_opts())
+            let r = refine(&warm, &grid, "idct", build, &power_opts())
                 .expect("power-aware refinement runs");
             black_box((r.evaluated, r.front.len()))
         })

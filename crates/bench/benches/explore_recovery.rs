@@ -9,10 +9,8 @@
 //! Tracked per PR in `BENCH_<n>.json`.
 
 use adhls_core::dse::DsePoint;
-use adhls_core::sched::HlsOptions;
 use adhls_core::PointMode;
-use adhls_explore::{Engine, EngineOptions};
-use adhls_reslib::tsmc90;
+use adhls_explore::{EvaluatorPool, PoolOptions};
 use adhls_workloads::{fir, idct};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -54,21 +52,15 @@ fn fir_grid() -> Vec<DsePoint> {
     pts
 }
 
-fn engine(lib: &adhls_reslib::Library) -> Engine<'_> {
-    Engine::with_options(
-        lib,
-        HlsOptions::default(),
-        EngineOptions {
-            threads: 1,
-            skip_infeasible: false,
-            ..Default::default()
-        },
-    )
+fn serial_pool() -> EvaluatorPool {
+    adhls_bench::pool(PoolOptions {
+        threads: 1,
+        ..Default::default()
+    })
 }
 
 fn bench(c: &mut Criterion) {
     let _metrics = adhls_bench::metrics_dump("explore_recovery");
-    let lib = tsmc90::library();
 
     for (grid_name, points) in [("idct1d", idct1d_grid()), ("fir", fir_grid())] {
         // The contract first, the clock second: recovered rows dominate
@@ -77,14 +69,14 @@ fn bench(c: &mut Criterion) {
         let was = adhls_telemetry::global().is_enabled();
         adhls_telemetry::global().set_enabled(true);
         let before = adhls_telemetry::global().snapshot();
-        let rec = engine(&lib)
-            .evaluate_serial_mode(&points, PointMode::Recover)
+        let rec = serial_pool()
+            .evaluate_mode(&points, PointMode::Recover)
             .expect("grid schedules")
             .rows;
         let after = adhls_telemetry::global().snapshot();
         adhls_telemetry::global().set_enabled(was);
-        let full = engine(&lib)
-            .evaluate_serial_mode(&points, PointMode::Full)
+        let full = serial_pool()
+            .evaluate_mode(&points, PointMode::Full)
             .expect("grid schedules")
             .rows;
         for (r, f) in rec.iter().zip(&full) {
@@ -107,7 +99,7 @@ fn bench(c: &mut Criterion) {
             points.len()
         );
 
-        // Fresh engine per iteration so the result cache never answers
+        // Fresh pool per iteration so the result cache never answers
         // for the pipeline; serial so per-cell costs add up legibly.
         for (mode_name, mode) in [
             ("full", PointMode::Full),
@@ -117,8 +109,8 @@ fn bench(c: &mut Criterion) {
             c.bench_function(&format!("explore/{grid_name}_{mode_name}"), |b| {
                 b.iter(|| {
                     black_box(
-                        engine(&lib)
-                            .evaluate_serial_mode(&points, mode)
+                        serial_pool()
+                            .evaluate_mode(&points, mode)
                             .expect("grid schedules")
                             .rows
                             .len(),

@@ -7,10 +7,28 @@
 //! `<dir>/<bench>.metrics.json` when the guard drops. Without the
 //! variable the guard is inert and the benches run unmetered, exactly as
 //! before.
+//!
+//! [`pool`] builds the evaluator every exploration bench times.
 
 #![warn(missing_docs)]
 
+use adhls_core::sched::HlsOptions;
+use adhls_explore::{EvaluatorPool, PoolOptions};
 use std::path::PathBuf;
+
+/// A fresh evaluator pool over the TSMC-90 library and default HLS
+/// options. It records into the global registry, so a recording run
+/// ([`metrics_dump`]) captures its pool and pipeline metrics; unmetered
+/// runs see a disabled registry and record nothing.
+#[must_use]
+pub fn pool(opts: PoolOptions) -> EvaluatorPool {
+    EvaluatorPool::with_telemetry(
+        adhls_reslib::tsmc90::library(),
+        HlsOptions::default(),
+        opts,
+        adhls_telemetry::global().clone(),
+    )
+}
 
 /// Guard returned by [`metrics_dump`]; writes the global registry's
 /// snapshot to the recording directory on drop.

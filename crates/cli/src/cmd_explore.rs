@@ -1,6 +1,6 @@
-//! `adhls explore` — expand a sweep, fan it across cores, report the
-//! Pareto front. With `--adaptive`, refine the front through a persistent
-//! evaluator pool instead of exhausting the grid.
+//! `adhls explore` — expand a sweep, fan it across cores through an
+//! evaluator pool, report the Pareto front. With `--adaptive`, refine the
+//! front through the same pool instead of exhausting the grid.
 //!
 //! Workload grids and axis validation are shared with the exploration
 //! server (`adhls_explore::server::session`), so the CLI and a `refine`
@@ -22,7 +22,7 @@ use adhls_explore::server::{
     refine_spaces, sweep_points, sweep_spaces, validate_spec_constraints, workload_grid,
     WorkloadSpec,
 };
-use adhls_explore::{pareto_front_in_constrained, Engine, EngineOptions, ObjectiveSpace};
+use adhls_explore::{pareto_front_in_constrained, ObjectiveSpace};
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(
@@ -86,24 +86,20 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let spaces = sweep_spaces(&spec);
     validate_spec_constraints(&spec, &spaces).map_err(with_cli_flags)?;
 
-    let lib = adhls_reslib::tsmc90::library();
-    let engine = Engine::with_options(
-        &lib,
-        HlsOptions::default(),
-        EngineOptions {
-            threads: o.num("--threads", 0usize)?,
+    let pool = pool(
+        &o,
+        PoolOptions {
+            threads: one_shot_threads(threads(&o)?, points.len()),
             skip_infeasible: o.flag("--skip-infeasible"),
             incremental,
             point_mode: mode,
+            ..Default::default()
         },
     );
     let t0 = std::time::Instant::now();
-    let result = if o.flag("--serial") {
-        engine.evaluate_serial(&points)
-    } else {
-        engine.evaluate(&points)
-    }
-    .map_err(|e| format!("exploration failed: {e} (use --skip-infeasible to drop such points)"))?;
+    let result = pool.evaluate(&points).map_err(|e| {
+        format!("exploration failed: {e} (use --skip-infeasible to drop such points)")
+    })?;
     let elapsed = t0.elapsed();
 
     // One constrained front per requested plane; the first plane is the
@@ -158,9 +154,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if let Some(path) = o.get("--csv") {
         write_out(path, &rows_to_csv(&result.rows), "sweep CSV")?;
     }
-    // The engine's scoped workers have no installed registry, so their
-    // pipeline spans fell through to the global one we enabled above.
-    crate::profile::emit(&o, adhls_telemetry::global().snapshot())?;
+    crate::profile::emit(&o, pool.metrics_snapshot())?;
     Ok(())
 }
 
@@ -168,6 +162,41 @@ pub fn run(args: &[String]) -> Result<(), String> {
 /// or both).
 fn profiling(o: &Opts) -> bool {
     o.flag("--profile") || o.get("--metrics-out").is_some()
+}
+
+/// `--threads` as requested (`0` = every core); `--serial` is exactly
+/// `--threads 1`.
+fn threads(o: &Opts) -> Result<usize, String> {
+    if o.flag("--serial") {
+        Ok(1)
+    } else {
+        o.num("--threads", 0usize)
+    }
+}
+
+/// The thread count for a one-shot sweep of `points` cells: `requested`
+/// with `0` resolved to every core, capped at the point count so no worker
+/// is spawned without a point to claim.
+pub fn one_shot_threads(requested: usize, points: usize) -> usize {
+    let threads = if requested == 0 {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    } else {
+        requested
+    };
+    threads.min(points).max(1)
+}
+
+/// The evaluator every explore path runs on. When profiling, the pool
+/// records into the (enabled) global registry, so its workers' spans land
+/// next to the refine driver's counters; otherwise it keeps its private
+/// disabled registry and every recording op is a cheap no-op.
+fn pool(o: &Opts, opts: PoolOptions) -> EvaluatorPool {
+    let (lib, base) = (adhls_reslib::tsmc90::library(), HlsOptions::default());
+    if profiling(o) {
+        EvaluatorPool::with_telemetry(lib, base, opts, adhls_telemetry::global().clone())
+    } else {
+        EvaluatorPool::new(lib, base, opts)
+    }
 }
 
 /// `adhls explore --adaptive`: refine the Pareto front of a workload grid
@@ -246,70 +275,23 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
         point_mode: mode,
         ..Default::default()
     };
-    let skip = o.flag("--skip-infeasible");
-    let threads = o.num("--threads", 0usize)?;
-    let incremental = o.switch("--incremental", true)?;
+    let pool = pool(
+        o,
+        PoolOptions {
+            threads: threads(o)?,
+            skip_infeasible: o.flag("--skip-infeasible"),
+            incremental: o.switch("--incremental", true)?,
+            point_mode: mode,
+            ..Default::default()
+        },
+    );
     let t0 = std::time::Instant::now();
-    // One plane uses the dedicated driver; several share one pass over
-    // one evaluator (the same dispatch a `refine` request gets).
-    let run = |eval: &dyn adhls_explore::refine::Evaluator| {
-        if spaces.len() == 1 {
-            refine(eval, &grid, &prefix, build, &opts).map(RefineOutcome::Single)
-        } else {
-            refine_multi(eval, &grid, &prefix, build, &opts, &spaces).map(RefineOutcome::Multi)
-        }
-    };
-    // The pool appends its cache counters at snapshot time; remember that
-    // unified snapshot before the pool is dropped so the profile carries
-    // them too. The serial path reads the global registry instead.
-    let mut pool_snapshot = None;
-    let outcome = if o.flag("--serial") {
-        let lib = adhls_reslib::tsmc90::library();
-        let engine = Engine::with_options(
-            &lib,
-            HlsOptions::default(),
-            EngineOptions {
-                threads: 1,
-                skip_infeasible: skip,
-                incremental,
-                point_mode: mode,
-            },
-        );
-        run(&engine)
+    // One plane reports a single-plane result; several share one pass
+    // (the same dispatch a `refine` request gets).
+    let outcome = if spaces.len() == 1 {
+        refine(&pool, &grid, &prefix, build, &opts).map(RefineOutcome::Single)
     } else {
-        // Pool workers record into the pool's own registry; handing them
-        // the (enabled) global one lands their spans next to the refine
-        // driver's counters. Without --profile the pool keeps its private
-        // disabled registry and every recording op is a cheap no-op.
-        let pool = if profiling(o) {
-            EvaluatorPool::with_telemetry(
-                adhls_reslib::tsmc90::library(),
-                HlsOptions::default(),
-                PoolOptions {
-                    threads,
-                    skip_infeasible: skip,
-                    incremental,
-                    point_mode: mode,
-                    ..Default::default()
-                },
-                adhls_telemetry::global().clone(),
-            )
-        } else {
-            EvaluatorPool::new(
-                adhls_reslib::tsmc90::library(),
-                HlsOptions::default(),
-                PoolOptions {
-                    threads,
-                    skip_infeasible: skip,
-                    incremental,
-                    point_mode: mode,
-                    ..Default::default()
-                },
-            )
-        };
-        let outcome = run(&pool);
-        pool_snapshot = Some(pool.metrics_snapshot());
-        outcome
+        refine_multi(&pool, &grid, &prefix, build, &opts, &spaces).map(RefineOutcome::Multi)
     }
     .map_err(|e| {
         format!(
@@ -370,10 +352,9 @@ fn run_adaptive(o: &Opts) -> Result<(), String> {
     if let Some(path) = o.get("--csv") {
         write_out(path, &rows_to_csv(rows), "sweep CSV")?;
     }
-    crate::profile::emit(
-        o,
-        pool_snapshot.unwrap_or_else(|| adhls_telemetry::global().snapshot()),
-    )?;
+    // The pool appends its cache counters at snapshot time, so the profile
+    // carries them too.
+    crate::profile::emit(o, pool.metrics_snapshot())?;
     Ok(())
 }
 

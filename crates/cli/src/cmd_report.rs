@@ -4,7 +4,7 @@
 use crate::opts::Opts;
 use adhls_core::dse::{summarize, table4, DseSummary};
 use adhls_core::sched::{run_hls, Flow, HlsOptions};
-use adhls_explore::Engine;
+use adhls_explore::{EvaluatorPool, PoolOptions};
 use adhls_workloads::{interpolation, sweep};
 
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -39,10 +39,17 @@ fn report_metrics(path: &str) -> Result<(), String> {
 
 /// Paper §VII Table 4: the 15-point IDCT sweep, evaluated in parallel.
 fn report_table4() -> Result<(), String> {
-    let lib = adhls_reslib::tsmc90::library();
     let points = sweep::idct_table4();
+    let pool = EvaluatorPool::new(
+        adhls_reslib::tsmc90::library(),
+        HlsOptions::default(),
+        PoolOptions {
+            threads: crate::cmd_explore::one_shot_threads(0, points.len()),
+            ..Default::default()
+        },
+    );
     let t0 = std::time::Instant::now();
-    let result = Engine::new(&lib, HlsOptions::default())
+    let result = pool
         .evaluate(&points)
         .map_err(|e| format!("table4 sweep failed: {e}"))?;
     println!("=== Paper Table 4 (reproduced; paper avg 8.9%, 3 regressions) ===");

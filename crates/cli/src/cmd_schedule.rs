@@ -70,7 +70,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         println!(
             "{{\"design\":\"{}\",\"clock_ps\":{},\"flow\":\"{:?}\",\"ops\":{n_ops},\
              \"instances\":{n_insts},\"area\":{{\"fu\":{},\"regs\":{},\"mux\":{},\
-             \"total\":{}}},\"registers\":{},\"relax_rounds\":{},\"budget_moves\":{}}}",
+             \"total\":{}}},\"registers\":{},\"relax_rounds\":{}}}",
             design.cfg.name(),
             hls.clock_ps,
             hls.flow,
@@ -80,7 +80,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             res.area.total,
             res.regs.n_regs,
             res.relax_rounds,
-            res.budget_moves,
         );
         return Ok(());
     }
@@ -100,7 +99,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
     t.row(["FU instances", &n_insts.to_string()]);
     t.row(["registers", &res.regs.n_regs.to_string()]);
     t.row(["relaxation rounds", &res.relax_rounds.to_string()]);
-    t.row(["budget moves", &res.budget_moves.to_string()]);
     print!("{t}");
     Ok(())
 }

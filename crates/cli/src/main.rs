@@ -57,18 +57,20 @@ EXPLORE OPTIONS:
                           `throughput>=250`); repeatable — fronts and
                           staircases only show the feasible region
     --threads <N>         worker threads (0 = all cores)  [default: 0]
-    --serial              force the serial reference evaluator
+    --serial              evaluate on one thread (same as --threads 1)
     --incremental[=off]   reuse clock-independent prefix artifacts across
                           a design's cells  [default: on]; `off` evaluates
                           every point from scratch (same rows, slower)
     --mode <M>            per-point evaluation mode  [default: full]:
                           `full` re-synthesizes every point; `recover`
                           downgrades non-critical resource grades from the
-                          fastest binding while slack allows (cheaper,
-                          never worse than the conventional baseline);
-                          `auto` picks recovery per cell when the latency
-                          budget leaves positive slack, else falls back
-                          to full (see docs/EXPLORATION.md)
+                          fastest binding while slack allows (never worse
+                          than the conventional baseline, but not cheaper:
+                          1.5-1.8x full's time per cell on the
+                          explore_recovery bench grids); `auto` picks
+                          recovery per cell when the latency budget leaves
+                          positive slack, else falls back to full (see
+                          docs/EXPLORATION.md)
     --skip-infeasible     drop unschedulable points instead of failing
     --front-only          print only the Pareto front
     --json <PATH>         write sweep + front JSON with its objective
@@ -99,8 +101,9 @@ ADAPTIVE EXPLORE OPTIONS (interpolation | idct | matmul):
                           across objective spaces)
     --mode <M>            as in EXPLORE OPTIONS; `auto` refines with
                           slack recovery on cells with headroom and full
-                          synthesis elsewhere (same front, fewer full
-                          evaluations)
+                          synthesis elsewhere (fewer full evaluations; its
+                          front may differ from full's, by up to 1% area
+                          per latency class on the FIR acceptance grid)
 
 SERVE OPTIONS (line-delimited JSON protocol; see docs/PROTOCOL.md):
     --addr <HOST:PORT>    TCP listen address  [default: 127.0.0.1:7130;

@@ -1,7 +1,7 @@
 //! End-to-end tests for `adhls serve` — the PR's acceptance path: start
 //! the daemon, submit two *concurrent* adaptive requests for the IDCT
 //! workload over separate TCP connections, and check that both returned
-//! fronts are bit-identical to a direct `Engine` run of the same grid,
+//! fronts are bit-identical to a direct serial run of the same grid,
 //! that the server's `stats` response shows cross-request cache sharing,
 //! and that the cache stayed within its `--cache-bytes` budget.
 
@@ -10,7 +10,7 @@ use adhls_core::sched::HlsOptions;
 use adhls_explore::export::rows_to_json_line;
 use adhls_explore::refine::{refine, RefineOptions};
 use adhls_explore::server::{workload_grid, WorkloadSpec};
-use adhls_explore::{Engine, EngineOptions};
+use adhls_explore::{EvaluatorPool, PoolOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -141,11 +141,11 @@ impl Drop for Serve {
 
 /// The direct (no server, no pool) reference front for the test grid.
 fn direct_front_json() -> String {
-    let lib = adhls_reslib::tsmc90::library();
-    let engine = Engine::with_options(
-        &lib,
+    let pool = EvaluatorPool::new(
+        adhls_reslib::tsmc90::library(),
         HlsOptions::default(),
-        EngineOptions {
+        PoolOptions {
+            threads: 1,
             skip_infeasible: true,
             ..Default::default()
         },
@@ -158,7 +158,7 @@ fn direct_front_json() -> String {
     })
     .expect("idct grid builds");
     let r = refine(
-        &engine,
+        &pool,
         &grid,
         &prefix,
         build,
@@ -203,7 +203,7 @@ fn concurrent_adaptive_requests_share_one_pool_and_match_direct_runs() {
             "client {who} saw no streamed rounds: {} messages",
             resp.len()
         );
-        // The served front is byte-identical to the direct Engine run.
+        // The served front is byte-identical to the direct serial run.
         let served = result.render();
         assert!(
             served.contains(&format!("\"front\":{expected_front}")),
@@ -244,7 +244,7 @@ fn concurrent_adaptive_requests_share_one_pool_and_match_direct_runs() {
 #[test]
 fn tiny_cache_budget_forces_evictions_but_not_wrong_answers() {
     // A budget far below one IDCT row per shard: everything evicts, rows
-    // still match the engine (eviction trades hits for recomputation).
+    // still match the direct run (eviction trades hits for recomputation).
     let serve = Serve::start(&["--cache-bytes", "1k", "--threads", "2"]);
     let req = "{\"id\":1,\"cmd\":\"sweep\",\"workload\":\"interpolation\",\
                \"clocks\":[1100,1400],\"cycles\":[3,4]}";
@@ -415,7 +415,7 @@ fn stdio_transport_answers_ping_and_sweep() {
 
 /// The multi-worker acceptance path against the release binary over real
 /// TCP: `--workers 2` routes concurrent refinements to sharded workers,
-/// the fronts stay bit-identical to a direct `Engine` run, a `cancel`
+/// the fronts stay bit-identical to a direct serial run, a `cancel`
 /// with nothing in flight yields the documented structured error, and
 /// the aggregated `stats` surface counts every client request once.
 #[test]

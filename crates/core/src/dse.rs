@@ -163,14 +163,14 @@ pub fn grid_item_time_ps(clock_ps: u64, cycles_per_item: u32) -> f64 {
 }
 
 /// Evaluates one design point under both flows — the single-point kernel
-/// shared by the serial [`explore`] driver here and the parallel engine in
-/// `adhls-explore`.
+/// shared by the serial [`explore`] driver here and the parallel evaluator
+/// pool in `adhls-explore`.
 ///
 /// Prepares the design's phase artifacts once and evaluates through
 /// [`evaluate_prepared`] — bit-identical to the pre-refactor monolithic
 /// evaluator (and to [`evaluate_point_from_scratch`]), just without
 /// elaborating twice. Callers holding a prefix cache (the exploration
-/// engine/pool) should prepare once per design and call
+/// pool) should prepare once per design and call
 /// [`evaluate_prepared`] directly.
 ///
 /// # Errors
@@ -187,8 +187,8 @@ pub fn evaluate_point(p: &DsePoint, lib: &Library, base: &HlsOptions) -> Result<
 /// prepared clock-independent prefix (and each other's clock context), so
 /// neighboring grid cells of the same design skip elaboration entirely.
 /// `prep` must have been built from `p.design` with the same `lib` — the
-/// engine/pool prefix caches guarantee this by keying on the design
-/// fingerprint and holding one library for their lifetime.
+/// pool's prefix cache guarantees this by keying on the design
+/// fingerprint and holding one library for its lifetime.
 ///
 /// # Errors
 ///

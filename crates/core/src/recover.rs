@@ -51,8 +51,8 @@ use adhls_timing::slack::{compute_slack, SlackMode};
 /// How a design point is evaluated: the full two-flow synthesis, the
 /// slack-recovery generator, or a per-cell choice between them.
 ///
-/// The mode is part of a row's identity — engines and pools fold it into
-/// their result-cache keys (`point_key`) so rows from different modes can
+/// The mode is part of a row's identity — the evaluator pool folds it into
+/// its result-cache keys (`point_key`) so rows from different modes can
 /// never alias — but *not* of the elaboration prefix, which is shared
 /// across modes (recovery never re-elaborates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -630,8 +630,8 @@ fn auto_dispatch(
     full()
 }
 
-/// Mode dispatch over shared artifacts — the single entry evaluation
-/// engines call per `(point, mode)`.
+/// Mode dispatch over shared artifacts — the single entry the evaluator
+/// pool calls per `(point, mode)`.
 ///
 /// # Errors
 ///

@@ -97,8 +97,6 @@ pub struct HlsResult {
     pub regs: bind::RegReport,
     /// Relaxation restarts used.
     pub relax_rounds: u32,
-    /// Total budgeting moves across the run (slack flow only).
-    pub budget_moves: usize,
 }
 
 /// Why a placement attempt failed.
@@ -412,7 +410,6 @@ fn finish_hls(
         area,
         regs,
         relax_rounds,
-        budget_moves: 0,
     })
 }
 

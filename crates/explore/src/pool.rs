@@ -1,40 +1,155 @@
-//! Persistent evaluator pool: worker threads and a sharded result cache
-//! that outlive individual sweeps.
+//! Persistent evaluator pool: worker threads, a sharded result cache, and
+//! a shared prefix cache that outlive individual sweeps — the one sweep
+//! evaluator behind the CLI, adaptive refinement, and the server.
 //!
-//! [`Engine`](crate::engine::Engine) spawns scoped workers per sweep — fine
-//! for one-shot CLI runs, wasteful when a server handles many concurrent
-//! exploration requests (thread churn, and every request starts cold).
-//! [`EvaluatorPool`] keeps the workers and the memo cache alive across
-//! requests: share the pool via `Arc`, submit batches from any thread, and
-//! cells revisited by later sweeps (adaptive refinement re-deriving a
+//! Share the pool via `Arc`, submit batches from any thread, and cells
+//! revisited by later sweeps (adaptive refinement re-deriving a
 //! neighborhood, two clients exploring overlapping grids) are free.
 //!
-//! Determinism contract, inherited from the engine: each point's row is a
-//! pure function of (design, library, options), rows are published into
-//! per-index slots, and cache hits return bit-identical rows — so a batch's
-//! result does not depend on which thread ran which point, how many worker
-//! threads exist, or what other batches are in flight.
+//! Determinism contract: each point's row is a pure function of (design,
+//! library, options), rows are published into per-index slots, and cache
+//! hits return bit-identical rows — so a batch's result does not depend on
+//! which thread ran which point, how many worker threads exist, or what
+//! other batches are in flight.
 //!
 //! The submitting thread always helps drain its own batch, so a batch makes
 //! progress even on a pool with zero background workers (`threads: 1`
-//! behaves exactly like the serial engine) and submitters cannot deadlock
+//! evaluates serially, in input order) and submitters cannot deadlock
 //! waiting on a saturated pool.
 
-use crate::engine::{point_key, HitMiss, PrefixCache, SweepResult};
+use crate::fingerprint::{design_fingerprint, options_fingerprint, Fnv};
 use crate::server::eviction::{CacheStats, EvictingCache, Outcome};
 use adhls_core::dse::{DsePoint, DseRow};
 use adhls_core::recover::{evaluate_mode_point, evaluate_mode_prepared};
 use adhls_core::sched::HlsOptions;
-use adhls_core::PointMode;
+use adhls_core::{PointMode, PreparedDesign};
+use adhls_ir::{Design, Error, Result};
 use adhls_reslib::Library;
 use adhls_telemetry::{Registry, Snapshot};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use adhls_ir::{Error, Result};
+/// Number of independent prefix-cache shards (reduces lock contention).
+const PREFIX_SHARDS: usize = 16;
+
+/// Named hit/miss counters, so call sites can't transpose the two the way
+/// a bare `(u64, u64)` tuple silently allows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HitMiss {
+    /// Lookups that avoided an evaluation, including coalesced in-flight
+    /// waits — both served a cached run.
+    pub hits: u64,
+    /// Lookups that had to run the evaluator.
+    pub misses: u64,
+}
+
+/// Outcome of one sweep evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepResult {
+    /// One row per feasible point, in input order.
+    pub rows: Vec<DseRow>,
+    /// Infeasible points as (name, error message), in input order. Empty
+    /// unless [`PoolOptions::skip_infeasible`] is set.
+    pub skipped: Vec<(String, String)>,
+    /// Cache hits observed during this evaluation.
+    pub cache_hits: u64,
+    /// Worker threads actually used.
+    pub workers: usize,
+}
+
+impl SweepResult {
+    /// The result's Pareto front projected through `space` — the rows
+    /// non-dominated under exactly the space's axes, deterministically
+    /// ordered (see [`crate::pareto::pareto_front_in`]).
+    #[must_use]
+    pub fn front_in(&self, space: &crate::pareto::ObjectiveSpace) -> Vec<DseRow> {
+        crate::pareto::pareto_front_in(space, &self.rows)
+    }
+
+    /// The result's tradeoff staircase in `space`'s plane (see
+    /// [`crate::pareto::tradeoff_staircase_in`]).
+    #[must_use]
+    pub fn staircase_in(&self, space: &crate::pareto::ObjectiveSpace) -> Vec<DseRow> {
+        crate::pareto::tradeoff_staircase_in(space, &self.rows)
+    }
+}
+
+/// A sharded cache of prepared phase-artifact prefixes, keyed by
+/// [`design_fingerprint`] — the clock/flow/II-independent half of the
+/// point key, so every cell of a sweep axis over one design (and every
+/// serve request touching it) shares one [`PreparedDesign`].
+///
+/// Soundness: prefix artifacts are a pure function of `(design, library)`;
+/// the pool holds one library for its whole lifetime, so the design
+/// fingerprint alone identifies the prefix. The satellite proptests in
+/// `tests/incremental_equivalence.rs` pin the key contract (insensitive to
+/// clock/flow/II/latency knobs, sensitive to structure).
+///
+/// Consults count `pipeline.prefix.{hit,miss}` and retained artifact bytes
+/// move the `pipeline.prefix.bytes` gauge on the thread's registry —
+/// observational only, like every other `pipeline.*` metric.
+#[derive(Debug, Default)]
+struct PrefixCache {
+    shards: [Mutex<HashMap<u64, Arc<PreparedDesign>>>; PREFIX_SHARDS],
+}
+
+impl PrefixCache {
+    /// The prepared prefix for `design`, elaborating and inserting on miss.
+    ///
+    /// Concurrent first touches of one design may prepare twice; the first
+    /// insert wins and both callers see the same artifacts thereafter (the
+    /// preparation is a pure function, so the race is benign and the rows
+    /// stay deterministic).
+    fn get_or_prepare(&self, design: &Design, lib: &Library) -> Result<Arc<PreparedDesign>> {
+        let key = design_fingerprint(design);
+        let shard = &self.shards[(key % PREFIX_SHARDS as u64) as usize];
+        if let Some(prep) = shard.lock().expect("prefix shard poisoned").get(&key) {
+            adhls_telemetry::counter_add("pipeline.prefix.hit", 1);
+            return Ok(Arc::clone(prep));
+        }
+        adhls_telemetry::counter_add("pipeline.prefix.miss", 1);
+        let prep = Arc::new(PreparedDesign::new(design, lib)?);
+        let mut guard = shard.lock().expect("prefix shard poisoned");
+        let entry = guard.entry(key).or_insert_with(|| {
+            adhls_telemetry::gauge_add("pipeline.prefix.bytes", prep.approx_bytes() as i64);
+            Arc::clone(&prep)
+        });
+        Ok(Arc::clone(entry))
+    }
+}
+
+/// Result-cache key for one point under `base` options.
+///
+/// The pipeline-II option is encoded as a separate tag word plus the raw
+/// value: the old `ii + 1` trick both overflowed at `u32::MAX` (debug
+/// panic) and, in release, wrapped `Some(u32::MAX)` onto the same word as
+/// `None` — a silent key collision between a pipelined and a sequential
+/// point.
+///
+/// The evaluation mode is part of the key (its one-byte
+/// [`PointMode::cache_tag`]): full, recover, and auto rows are distinct
+/// results for the same point, so they may never alias in the result
+/// cache. The *prefix* cache deliberately stays mode-blind — elaboration
+/// artifacts are identical across modes and recovery must never
+/// re-elaborate (see
+/// [`crate::fingerprint::prefix_options_fingerprint`]).
+fn point_key(base: &HlsOptions, p: &DsePoint, mode: PointMode) -> u64 {
+    let mut h = Fnv::default();
+    h.u64(design_fingerprint(&p.design));
+    h.u64(options_fingerprint(base));
+    h.u64(p.clock_ps);
+    match p.pipeline_ii {
+        None => h.u64(0),
+        Some(ii) => h.u64(1).u64(u64::from(ii)),
+    };
+    h.u64(u64::from(p.cycles_per_item));
+    h.str(&p.name);
+    h.u64(u64::from(mode.cache_tag()));
+    h.digest()
+}
 
 /// Tuning knobs for [`EvaluatorPool`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +166,7 @@ pub struct PoolOptions {
     /// should set this; see [`crate::server::eviction`].
     pub cache_bytes: Option<usize>,
     /// Reuse clock-independent prefix artifacts
-    /// ([`PreparedDesign`](adhls_core::PreparedDesign)) across the cells of
+    /// ([`PreparedDesign`]) across the cells of
     /// a design (default). `false` re-elaborates every point from scratch —
     /// the escape hatch and the benchmark baseline; rows are bit-identical
     /// either way.
@@ -80,8 +195,8 @@ impl Default for PoolOptions {
 ///
 /// Claiming is a single shared counter, so claimed indices always form a
 /// contiguous prefix and every claimed slot is eventually filled by its
-/// claimer — the same publication scheme the engine uses, which is what
-/// makes pool results bit-identical to serial evaluation.
+/// claimer, which is what makes pool results bit-identical to serial
+/// evaluation.
 struct Batch {
     points: Vec<DsePoint>,
     /// Evaluation mode for every point in this batch; batches with
@@ -169,7 +284,7 @@ struct Shared {
     base: HlsOptions,
     cache: EvictingCache,
     /// Prefix artifacts shared across batches (see
-    /// [`PreparedDesign`](adhls_core::PreparedDesign)); unused when
+    /// [`PreparedDesign`]); unused when
     /// [`PoolOptions::incremental`] is off.
     prefixes: PrefixCache,
     incremental: bool,
@@ -193,8 +308,8 @@ impl Shared {
     /// A panic inside HLS evaluation is caught and surfaced as an error:
     /// on a persistent pool the panicking thread may be a background
     /// worker, and a claimed-but-never-filled slot would leave the
-    /// submitter waiting forever (the scoped-thread engine propagates such
-    /// panics at join; a pool has no equivalent joining point per batch).
+    /// submitter waiting forever (a pool has no joining point per batch to
+    /// propagate the panic at).
     fn evaluate_one(
         &self,
         p: &DsePoint,
@@ -404,9 +519,9 @@ impl EvaluatorPool {
         }
     }
 
-    /// Evaluates a batch through the pool: bit-identical rows to
-    /// [`Engine::evaluate_serial`](crate::engine::Engine::evaluate_serial)
-    /// under the same library/options, in input order. The submitting
+    /// Evaluates a batch through the pool: bit-identical rows to serial
+    /// per-point evaluation ([`adhls_core::dse::explore`]) under the same
+    /// library/options, in input order. The submitting
     /// thread participates in the work, and background workers join in
     /// (also finishing older batches first).
     ///
@@ -591,7 +706,6 @@ impl Drop for EvaluatorPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
     use adhls_ir::builder::DesignBuilder;
     use adhls_ir::OpKind;
     use adhls_reslib::tsmc90;
@@ -622,36 +736,115 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn pool_rows_match_serial_engine_bit_for_bit() {
-        let lib = tsmc90::library();
-        let pts = fleet();
-        let serial = Engine::new(&lib, HlsOptions::default())
-            .evaluate_serial(&pts)
-            .unwrap();
-        let pool = EvaluatorPool::new(
+    fn pool(threads: usize) -> EvaluatorPool {
+        EvaluatorPool::new(
             tsmc90::library(),
             HlsOptions::default(),
             PoolOptions {
-                threads: 4,
+                threads,
                 ..Default::default()
             },
-        );
-        let r = pool.evaluate(&pts).unwrap();
-        assert_eq!(r.rows, serial.rows);
+        )
+    }
+
+    /// The independent from-scratch oracle: the core serial driver.
+    fn core_rows(pts: &[DsePoint]) -> Vec<DseRow> {
+        adhls_core::dse::explore(pts, &tsmc90::library(), &HlsOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn pool_rows_match_serial_engine_bit_for_bit() {
+        let pts = fleet();
+        let r = pool(4).evaluate(&pts).unwrap();
+        assert_eq!(r.rows, core_rows(&pts));
         assert_eq!(r.workers, 4);
     }
 
     #[test]
-    fn single_thread_pool_works_without_background_workers() {
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 1,
-                ..Default::default()
-            },
+    fn duplicate_points_hit_within_one_sweep() {
+        let p = point("dup", 2, 1100);
+        let r = pool(1).evaluate(&[p.clone(), p.clone(), p]).unwrap();
+        assert_eq!(r.cache_hits, 2);
+        assert_eq!(r.rows[0], r.rows[1]);
+        assert_eq!(r.rows[0], r.rows[2]);
+    }
+
+    #[test]
+    fn strict_failure_short_circuits_remaining_points() {
+        // 1 ps clock: nothing fits — guaranteed infeasible.
+        let bad = point("bad", 0, 1);
+        let good = point("good", 3, 1400);
+        let pool = pool(1);
+        assert!(pool.evaluate(&[bad, good]).is_err());
+        assert_eq!(
+            pool.cache_stats().misses,
+            1,
+            "the point after the failure must not be evaluated"
         );
+    }
+
+    #[test]
+    fn concurrent_sweeps_each_count_their_own_hits() {
+        // Batches racing on one shared pool must not attribute each other's
+        // hits to themselves (global-delta accounting would).
+        let pts = fleet();
+        let pool = pool(2);
+        pool.evaluate(&pts).unwrap(); // warm the cache
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| pool.evaluate(&pts).unwrap()))
+                .collect();
+            for h in handles {
+                assert_eq!(
+                    h.join().unwrap().cache_hits,
+                    pts.len() as u64,
+                    "each warm batch sees exactly its own hits"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn point_key_distinguishes_max_ii_from_sequential() {
+        // `ii + 1` used to wrap Some(u32::MAX) onto None's encoding (and
+        // panic in debug); the tag+value encoding must keep them distinct
+        // without overflowing.
+        let base = HlsOptions::default();
+        let m = PointMode::Full;
+        let seq = point("k", 2, 1100);
+        let mut max_ii = seq.clone();
+        max_ii.pipeline_ii = Some(u32::MAX);
+        assert_ne!(point_key(&base, &seq, m), point_key(&base, &max_ii, m));
+        let mut ii0 = seq.clone();
+        ii0.pipeline_ii = Some(0);
+        assert_ne!(point_key(&base, &seq, m), point_key(&base, &ii0, m));
+        assert_ne!(point_key(&base, &max_ii, m), point_key(&base, &ii0, m));
+        // Same point, same key — the memo still works.
+        assert_eq!(
+            point_key(&base, &max_ii, m),
+            point_key(&base, &max_ii.clone(), m)
+        );
+    }
+
+    #[test]
+    fn point_key_distinguishes_modes() {
+        // Full, recover, and auto rows for one point are distinct results;
+        // a shared cache must never serve one for another.
+        let base = HlsOptions::default();
+        let p = point("k", 2, 1100);
+        let keys = [
+            point_key(&base, &p, PointMode::Full),
+            point_key(&base, &p, PointMode::Recover),
+            point_key(&base, &p, PointMode::Auto),
+        ];
+        assert_ne!(keys[0], keys[1]);
+        assert_ne!(keys[0], keys[2]);
+        assert_ne!(keys[1], keys[2]);
+    }
+
+    #[test]
+    fn single_thread_pool_works_without_background_workers() {
+        let pool = pool(1);
         assert_eq!(pool.thread_count(), 1);
         let r = pool.evaluate(&fleet()).unwrap();
         assert_eq!(r.rows.len(), 12);
@@ -659,14 +852,7 @@ mod tests {
 
     #[test]
     fn cache_persists_across_batches() {
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 3,
-                ..Default::default()
-            },
-        );
+        let pool = pool(3);
         let pts = fleet();
         let first = pool.evaluate(&pts).unwrap();
         assert_eq!(first.cache_hits, 0);
@@ -681,14 +867,7 @@ mod tests {
         // 1 ps clock: nothing fits — guaranteed infeasible.
         let bad = point("bad", 0, 1);
         let good = point("good", 3, 1400);
-        let strict = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
+        let strict = pool(2);
         assert!(strict.evaluate(&[good.clone(), bad.clone()]).is_err());
         let lenient = EvaluatorPool::new(
             tsmc90::library(),
@@ -706,14 +885,7 @@ mod tests {
 
     #[test]
     fn empty_batch_completes_immediately() {
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
+        let pool = pool(2);
         let r = pool.evaluate(&[]).unwrap();
         assert!(r.rows.is_empty());
         assert!(r.skipped.is_empty());
@@ -723,14 +895,7 @@ mod tests {
     fn completed_batches_are_retired_from_the_queue() {
         // With no background workers, only the submitter can retire its
         // batch; a long-lived pool must not accumulate finished batches.
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        );
+        let pool = pool(1);
         let pts = fleet();
         for _ in 0..3 {
             pool.evaluate(&pts).unwrap();
@@ -744,18 +909,11 @@ mod tests {
 
     #[test]
     fn telemetry_collects_pipeline_and_pool_metrics() {
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        pool.telemetry().set_enabled(true);
+        let metered = pool(2);
+        metered.telemetry().set_enabled(true);
         let pts = fleet();
-        let r = pool.evaluate(&pts).unwrap();
-        let snap = pool.metrics_snapshot();
+        let r = metered.evaluate(&pts).unwrap();
+        let snap = metered.metrics_snapshot();
         // Pipeline phases ran through the installed registry: each point
         // runs HLS twice (conventional + slack-based).
         let schedules = snap.histogram("pipeline.schedule").expect("phase timing");
@@ -776,14 +934,7 @@ mod tests {
         assert_eq!(snap.gauge("pool.threads"), Some(2));
         assert_eq!(snap.gauge("pool.queue_depth"), Some(0));
         // Telemetry observes, never steers: rows match the disabled pool.
-        let quiet = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
+        let quiet = pool(2);
         assert_eq!(quiet.evaluate(&pts).unwrap().rows, r.rows);
         assert!(quiet.metrics_snapshot().counter("pool.batches").is_none());
     }
@@ -793,14 +944,7 @@ mod tests {
         // One pool, three modes over the same grid: rows must come from the
         // right evaluator (recover rows report the recovered binding, full
         // rows the slack flow) and repeats must hit per mode.
-        let pool = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 2,
-                ..Default::default()
-            },
-        );
+        let pool = pool(2);
         let pts = fleet();
         let full = pool.evaluate_mode(&pts, PointMode::Full).unwrap();
         let rec = pool.evaluate_mode(&pts, PointMode::Recover).unwrap();
@@ -816,19 +960,9 @@ mod tests {
 
     #[test]
     fn concurrent_submitters_share_one_pool() {
-        let pool = Arc::new(EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions {
-                threads: 4,
-                ..Default::default()
-            },
-        ));
-        let lib = tsmc90::library();
+        let pool = Arc::new(pool(4));
         let pts = fleet();
-        let reference = Engine::new(&lib, HlsOptions::default())
-            .evaluate_serial(&pts)
-            .unwrap();
+        let reference = core_rows(&pts);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -838,7 +972,7 @@ mod tests {
                 })
                 .collect();
             for h in handles {
-                assert_eq!(h.join().unwrap().rows, reference.rows);
+                assert_eq!(h.join().unwrap().rows, reference);
             }
         });
     }

@@ -51,22 +51,21 @@
 //! rows, front, and trace.
 
 use crate::constraint::{constraints_from_json, validate_constraints, Constraint};
-use crate::engine::{Engine, SweepResult};
 use crate::pareto::{
     dominates, objectives, pareto_indices_in_constrained, staircase_indices_in, Objective,
-    ObjectiveSpace, Objectives, Sense,
+    ObjectiveSpace, Objectives,
 };
-use crate::pool::EvaluatorPool;
+use crate::pool::{EvaluatorPool, SweepResult};
 use crate::sweep::{SweepCell, SweepGrid};
 use adhls_core::dse::{grid_item_time_ps, DsePoint, DseRow};
 use adhls_core::PointMode;
 use adhls_ir::{Design, Error, Result};
 use std::collections::{HashMap, HashSet};
 
-/// Anything that can evaluate a batch of points: the per-sweep
-/// [`Engine`] or the persistent [`EvaluatorPool`]. Rows must come back in
-/// input order, bit-identical to serial evaluation (both implementors
-/// guarantee this).
+/// Anything that can evaluate a batch of points — the persistent
+/// [`EvaluatorPool`], or a wrapper around one (say, one that meters each
+/// batch). Rows must come back in input order, bit-identical to serial
+/// evaluation.
 pub trait Evaluator {
     /// Evaluates `points`, returning rows in input order.
     ///
@@ -79,8 +78,8 @@ pub trait Evaluator {
     /// Evaluates `points` in an explicit [`PointMode`]. The default
     /// ignores the mode and delegates to [`Evaluator::evaluate_points`] —
     /// right for mode-unaware evaluators, whose single behavior *is*
-    /// their full evaluation; [`Engine`] and [`EvaluatorPool`] override
-    /// it with their per-call mode entries.
+    /// their full evaluation; [`EvaluatorPool`] overrides it with its
+    /// per-call mode entry.
     ///
     /// # Errors
     ///
@@ -88,16 +87,6 @@ pub trait Evaluator {
     fn evaluate_points_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
         let _ = mode;
         self.evaluate_points(points)
-    }
-}
-
-impl Evaluator for Engine<'_> {
-    fn evaluate_points(&self, points: &[DsePoint]) -> Result<SweepResult> {
-        self.evaluate(points)
-    }
-
-    fn evaluate_points_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
-        self.evaluate_mode(points, mode)
     }
 }
 
@@ -583,25 +572,6 @@ impl<'a, F: FnMut(&SweepCell) -> Design> Driver<'a, F> {
             .collect()
     }
 
-    /// Every feasible evaluated row as (row index, cell, objectives), in
-    /// row order — the candidate pool scalarized descent picks incumbents
-    /// from (non-finite rows are excluded like everywhere else).
-    fn feasible(&self) -> Vec<(usize, Cell, Objectives)> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| {
-                let o = objectives(r);
-                let ok = o.is_finite()
-                    && self
-                        .constraints
-                        .iter()
-                        .all(|c| c.satisfied_value(c.axis.value(&o)));
-                ok.then_some((i, self.row_cells[i], o))
-            })
-            .collect()
-    }
-
     /// The **planning** staircase in `space`'s plane: rows non-dominated
     /// when only the plane's two axes count, sorted by the primary axis
     /// improving (area ascending, latency strictly descending under the
@@ -1018,6 +988,10 @@ where
 /// the trace passed to `observe` is exactly the entry that ends up in
 /// [`RefineResult::trace`].
 ///
+/// The one-plane case of [`refine_multi_with_progress`]: each merged round
+/// maps to a [`RoundTrace`] whose `max_gap` is the plane's gap, and the
+/// result is the pass's one per-plane result.
+///
 /// # Errors
 ///
 /// As [`refine`].
@@ -1032,434 +1006,21 @@ pub fn refine_with_progress<F>(
 where
     F: FnMut(&SweepCell) -> Design,
 {
-    // Refinement steers a two-axis plane: with fewer axes there is no
-    // staircase and no gap, so every round would take the densification
-    // path with `gap_tol` never consulted — an unbounded hill walk dressed
-    // up as convergence. Reject up front, on every surface (library, CLI,
-    // wire all arrive here).
-    if opts.objectives.axes().len() < 2 {
-        return Err(Error::Interp(format!(
-            "adaptive refinement steers a two-axis objective plane; `{}` has only one axis \
-             (pick two, e.g. `area,power`)",
-            opts.objectives
-        )));
-    }
-    // Constraints must bound axes the active space selects — a bound on an
-    // ignored axis would filter rows on evidence the space never weighs.
-    validate_constraints(&opts.constraints, opts.objectives.axes()).map_err(Error::Interp)?;
-    let gap_tol = clamp_gap_tol(opts.gap_tol);
-    let (mut driver, grid_cells) = Driver::prepare(grid, prefix, build, &opts.constraints)?;
-    driver.mode = opts.point_mode;
-    if driver.clocks.is_empty() || driver.cycles.is_empty() || driver.modes.is_empty() {
-        return Ok(RefineResult {
-            rows: Vec::new(),
-            skipped: Vec::new(),
-            front: Vec::new(),
-            objectives: opts.objectives.clone(),
-            constraints: opts.constraints.clone(),
-            trace: Vec::new(),
-            evaluated: 0,
-            pruned: 0,
-            grid_cells,
-            cancelled: false,
+    let planes = [opts.objectives.clone()];
+    let multi = refine_multi_with_progress(eval, grid, prefix, build, opts, &planes, |t| {
+        observe(&RoundTrace {
+            round: t.round,
+            new_points: t.new_points,
+            front_size: t.front_size,
+            max_gap: t.plane_gaps[0],
+            pruned: t.pruned,
         });
-    }
-
-    // Round timing lands in a per-plane histogram (`refine.round.<plane>`)
-    // on the current telemetry registry; the counters tally work done vs
-    // avoided. One histogram sample per evaluated round, seed included, so
-    // the sample count equals `trace.len()`. Observational only: traces
-    // and rows are bit-identical with telemetry on or off.
-    let round_metric = format!("refine.round.{}", opts.objectives.names().join("_"));
-    let (seed, seed_pruned) = driver.seed(&opts.warm_start, opts.budget);
-    adhls_telemetry::timed(&round_metric, || driver.evaluate_cells(eval, &seed))?;
-    adhls_telemetry::counter_add("refine.cells_evaluated", seed.len() as u64);
-    adhls_telemetry::counter_add("refine.cells_pruned", seed_pruned as u64);
-    let mut trace = vec![RoundTrace {
-        round: 0,
-        new_points: seed.len(),
-        front_size: driver.front().len(),
-        max_gap: 0.0,
-        pruned: seed_pruned,
-    }];
-    observe(&trace[0]);
-
-    let mut cancelled = false;
-    for round in 1..=opts.max_rounds {
-        // The round boundary is the one cancellation point: rows and trace
-        // integrated so far are a valid prefix of the uncancelled run.
-        if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-            cancelled = true;
-            adhls_telemetry::counter_add("refine.cancelled", 1);
-            break;
-        }
-        let stairs = driver.staircase(&opts.objectives);
-        if stairs.is_empty() {
-            break;
-        }
-        let (max_gap, mut candidates, pruned_now) = if stairs.len() < 2 {
-            // A single-point staircase has no gap to bisect. For planes
-            // with a closed-form axis (latency/throughput) the seed's
-            // corner cells already span that axis, so a one-point
-            // staircase is a genuinely converged corner — stop, exactly
-            // as the pre-redesign driver did (this keeps the default
-            // (area, latency) plane bit-identical to it). Planes whose
-            // axes are both evaluated quantities get no such guarantee;
-            // densify the lone point's axis neighborhood instead (see
-            // `plan_densify`). The gap is reported as 0.0, like the seed
-            // round: there is none yet.
-            if plane_has_exact_axis(&opts.objectives) {
-                break;
-            }
-            let (candidates, pruned_now) = driver.plan_densify(&stairs);
-            if candidates.is_empty() {
-                break;
-            }
-            (0.0, candidates, pruned_now)
-        } else {
-            let full_front = driver.front();
-            let planned = driver.plan(
-                &opts.objectives,
-                &stairs,
-                gap_tol,
-                &mut HashSet::new(),
-                &full_front,
-            );
-            if planned.0 <= gap_tol || planned.1.is_empty() {
-                break;
-            }
-            planned
-        };
-        if opts.budget > 0 {
-            let spent = driver.rows.len() + driver.skipped.len();
-            let remaining = opts.budget.saturating_sub(spent);
-            if remaining == 0 {
-                break;
-            }
-            candidates.truncate(remaining);
-        }
-        adhls_telemetry::timed(&round_metric, || driver.evaluate_cells(eval, &candidates))?;
-        adhls_telemetry::counter_add("refine.cells_evaluated", candidates.len() as u64);
-        adhls_telemetry::counter_add("refine.cells_pruned", pruned_now as u64);
-        trace.push(RoundTrace {
-            round,
-            new_points: candidates.len(),
-            front_size: driver.front().len(),
-            max_gap,
-            pruned: pruned_now,
-        });
-        observe(trace.last().expect("round trace just pushed"));
-    }
-
-    let front = driver
-        .front()
+    })?;
+    Ok(multi
+        .planes
         .into_iter()
-        .map(|(i, _, _)| driver.rows[i].clone())
-        .collect();
-    let evaluated = driver.rows.len() + driver.skipped.len();
-    Ok(RefineResult {
-        rows: driver.rows,
-        skipped: driver.skipped,
-        front,
-        objectives: opts.objectives.clone(),
-        constraints: opts.constraints.clone(),
-        trace,
-        evaluated,
-        pruned: driver.pruned,
-        grid_cells,
-        cancelled,
-    })
-}
-
-/// Tuning knobs for [`descend`] — the scalarized weighted-sum /
-/// ε-constraint ladder (see [`descend`] for the algorithm).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DescentOptions {
-    /// Number of ε-constraint rungs the secondary axis's observed feasible
-    /// range is split into (clamped to at least 1; duplicate bounds on a
-    /// collapsed range are merged). Each rung runs one warm
-    /// single-objective solve.
-    pub rungs: usize,
-    /// Maximum number of grid cells to evaluate, seed included
-    /// (`0` = no budget).
-    pub budget: usize,
-    /// Safety valve on hill-climb moves per rung.
-    pub max_moves: usize,
-    /// Weight of the normalized secondary axis in the scalarized value.
-    /// `0.0` is the pure ε-constraint method (each solve minimizes the
-    /// primary axis alone); a positive weight blends the weighted-sum
-    /// method in, steering each solve toward cells that also improve the
-    /// secondary axis within the rung's bound.
-    pub weight: f64,
-    /// The objective plane: each solve optimizes the first axis (in its
-    /// natural sense), the second carries the ε-constraint ladder.
-    /// Defaults to the paper's (area, latency) tradeoff.
-    pub objectives: ObjectiveSpace,
-    /// Objective bounds restricting the descent to the feasible region,
-    /// exactly as in [`RefineOptions::constraints`].
-    pub constraints: Vec<Constraint>,
-}
-
-impl Default for DescentOptions {
-    fn default() -> Self {
-        DescentOptions {
-            rungs: 6,
-            budget: 0,
-            max_moves: 16,
-            weight: 0.25,
-            objectives: ObjectiveSpace::default(),
-            constraints: Vec::new(),
-        }
-    }
-}
-
-/// One rung of a scalarized descent: its secondary-axis bound and what the
-/// solve did under it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DescentRungTrace {
-    /// Rung number (`0` is the loosest bound).
-    pub rung: usize,
-    /// The rung's bound on the secondary axis, in that axis's own units:
-    /// an upper bound for minimized axes (area/latency/power), a lower
-    /// bound for throughput.
-    pub bound: f64,
-    /// Cells evaluated during this rung's solve.
-    pub new_points: usize,
-    /// Hill-climb moves the solve accepted.
-    pub moves: usize,
-    /// Name of the rung's final incumbent row (`None` when no evaluated
-    /// cell satisfies the bound).
-    pub best: Option<String>,
-}
-
-/// Outcome of one scalarized descent ([`descend`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DescentResult {
-    /// Every evaluated row, in deterministic (batch, cell-index) order.
-    pub rows: Vec<DseRow>,
-    /// Infeasible cells as (name, error), if the evaluator skips them.
-    pub skipped: Vec<(String, String)>,
-    /// The full four-objective Pareto front over the feasible `rows`,
-    /// exactly as [`RefineResult::front`] reports it.
-    pub front: Vec<DseRow>,
-    /// The objective plane that steered the descent
-    /// ([`DescentOptions::objectives`]).
-    pub objectives: ObjectiveSpace,
-    /// The constraints the descent honored
-    /// ([`DescentOptions::constraints`]).
-    pub constraints: Vec<Constraint>,
-    /// Per-rung metadata, loosest bound first.
-    pub trace: Vec<DescentRungTrace>,
-    /// Cells submitted for evaluation (`rows.len() + skipped.len()`).
-    pub evaluated: usize,
-    /// Cells discarded by closed-form constraint checks without
-    /// evaluation.
-    pub pruned: usize,
-    /// Cell count of the exhaustive grid this descent samples.
-    pub grid_cells: usize,
-}
-
-/// The best feasible evaluated row under a rung's bound: minimal
-/// scalarized value, ties broken toward the lower cell index (both are
-/// deterministic, so the incumbent is too).
-fn best_under(
-    feas: &[(usize, Cell, Objectives)],
-    secondary: Objective,
-    eps_key: f64,
-    scalar: &dyn Fn(&Objectives) -> f64,
-) -> Option<(usize, Cell, Objectives)> {
-    feas.iter()
-        .filter(|(_, _, o)| secondary.key(o) <= eps_key)
-        .min_by(|a, b| scalar(&a.2).total_cmp(&scalar(&b.2)).then(a.1.cmp(&b.1)))
-        .copied()
-}
-
-/// Scalarized descent over `grid`: a weighted-sum / ε-constraint ladder
-/// that turns a plane sweep into a sequence of warm single-objective
-/// solves.
-///
-/// Where [`refine`] bisects staircase gaps toward the whole tradeoff
-/// curve, `descend` answers a narrower question — "the best primary-axis
-/// cell at each of N secondary-axis budgets" — with correspondingly fewer
-/// evaluations:
-///
-/// 1. evaluate the geometric seed (axis corners and midpoints, every
-///    pipeline mode),
-/// 2. split the secondary axis's observed feasible range into
-///    [`DescentOptions::rungs`] ε bounds, loosest first,
-/// 3. for each rung, hill-climb from the best already-evaluated feasible
-///    cell under that bound: evaluate the incumbent's axis neighborhood,
-///    move while the scalarized value (normalized primary plus
-///    [`DescentOptions::weight`] × normalized secondary) strictly
-///    improves, stop when it doesn't. Neighbors whose closed-form
-///    secondary value (latency/throughput planes) already violates the
-///    rung's bound are skipped without evaluation.
-///
-/// Every evaluated cell is a cell of `grid`, so the evaluator's memo
-/// cache — and, through it, the engine/pool prefix cache — makes
-/// successive rungs warm: later (tighter) rungs re-walk earlier rungs'
-/// neighborhoods for free, and each genuine miss reuses the design's
-/// retained [`adhls_core::PreparedDesign`] prefix instead of
-/// re-elaborating.
-///
-/// Deterministic: rung bounds derive from evaluated rows, candidate
-/// batches are sorted by cell index, and incumbent ties break toward the
-/// lower cell index — two descents of the same grid produce the same
-/// rows, front, and trace.
-///
-/// # Errors
-///
-/// [`Error::Interp`] for a single-axis plane or a constraint on an axis
-/// outside it; [`Error::Capacity`] when the grid overflows `usize`;
-/// otherwise propagates the evaluator's scheduling failures.
-pub fn descend<F>(
-    eval: &dyn Evaluator,
-    grid: &SweepGrid,
-    prefix: &str,
-    build: F,
-    opts: &DescentOptions,
-) -> Result<DescentResult>
-where
-    F: FnMut(&SweepCell) -> Design,
-{
-    if opts.objectives.axes().len() < 2 {
-        return Err(Error::Interp(format!(
-            "scalarized descent needs a two-axis objective plane; `{}` has only one axis \
-             (pick two, e.g. `area,latency`)",
-            opts.objectives
-        )));
-    }
-    validate_constraints(&opts.constraints, opts.objectives.axes()).map_err(Error::Interp)?;
-    let (mut driver, grid_cells) = Driver::prepare(grid, prefix, build, &opts.constraints)?;
-    let mut trace: Vec<DescentRungTrace> = Vec::new();
-    if driver.clocks.is_empty() || driver.cycles.is_empty() || driver.modes.is_empty() {
-        return Ok(DescentResult {
-            rows: Vec::new(),
-            skipped: Vec::new(),
-            front: Vec::new(),
-            objectives: opts.objectives.clone(),
-            constraints: opts.constraints.clone(),
-            trace,
-            evaluated: 0,
-            pruned: 0,
-            grid_cells,
-        });
-    }
-    let metric = format!("descent.rung.{}", opts.objectives.names().join("_"));
-    let (seed, seed_pruned) = driver.seed(&[], opts.budget);
-    adhls_telemetry::timed(&metric, || driver.evaluate_cells(eval, &seed))?;
-    adhls_telemetry::counter_add("refine.cells_evaluated", seed.len() as u64);
-    adhls_telemetry::counter_add("refine.cells_pruned", seed_pruned as u64);
-
-    let (primary, secondary) = opts.objectives.plane();
-    let feas = driver.feasible();
-    // Normalization is fixed once, over the seed's feasible bounding box:
-    // re-normalizing mid-climb would let a new extreme point reorder
-    // already-compared cells and break the monotone-improvement argument.
-    let ranges = opts.objectives.plane_ranges(feas.iter().map(|(_, _, o)| o));
-    let scalar =
-        move |o: &Objectives| primary.key(o) / ranges.0 + opts.weight * secondary.key(o) / ranges.1;
-    // The ladder lives on the secondary *key* (sense-mapped so smaller is
-    // always better): loosest bound first, tightening linearly to the best
-    // observed value, duplicates merged.
-    let (mut kmin, mut kmax) = (f64::INFINITY, f64::NEG_INFINITY);
-    for (_, _, o) in &feas {
-        kmin = kmin.min(secondary.key(o));
-        kmax = kmax.max(secondary.key(o));
-    }
-    let mut ladder: Vec<f64> = Vec::new();
-    if kmin.is_finite() && kmax.is_finite() {
-        let rungs = opts.rungs.max(1);
-        for r in 0..rungs {
-            #[allow(clippy::cast_precision_loss)]
-            let t = if rungs == 1 {
-                0.0
-            } else {
-                r as f64 / (rungs - 1) as f64
-            };
-            let eps = kmax + (kmin - kmax) * t;
-            if ladder.last() != Some(&eps) {
-                ladder.push(eps);
-            }
-        }
-    }
-
-    for (rung, &eps) in ladder.iter().enumerate() {
-        let mut moves = 0usize;
-        let mut new_points = 0usize;
-        let mut cur = best_under(&driver.feasible(), secondary, eps, &scalar);
-        while let Some((_, cell, obj)) = cur {
-            if moves >= opts.max_moves {
-                break;
-            }
-            let (mut cands, _) = driver.plan_densify(&[(0, cell, obj)]);
-            // A closed-form secondary axis (latency/throughput) prices
-            // neighbors without evaluation: outside the rung's bound they
-            // cannot become this rung's incumbent — a tighter rung's, at
-            // most, and that rung will re-propose them.
-            if matches!(secondary, Objective::LatencyPs | Objective::Throughput) {
-                cands.retain(|&c| {
-                    let v = driver
-                        .exact_cell_value(c, secondary)
-                        .expect("closed-form axes price without evaluation");
-                    let key = match secondary.sense() {
-                        Sense::Minimize => v,
-                        Sense::Maximize => -v,
-                    };
-                    key <= eps
-                });
-            }
-            if opts.budget > 0 {
-                let spent = driver.rows.len() + driver.skipped.len();
-                cands.truncate(opts.budget.saturating_sub(spent));
-            }
-            if cands.is_empty() {
-                break;
-            }
-            adhls_telemetry::timed(&metric, || driver.evaluate_cells(eval, &cands))?;
-            adhls_telemetry::counter_add("refine.cells_evaluated", cands.len() as u64);
-            new_points += cands.len();
-            match best_under(&driver.feasible(), secondary, eps, &scalar) {
-                Some(next) if scalar(&next.2) < scalar(&obj) => {
-                    cur = Some(next);
-                    moves += 1;
-                }
-                _ => break,
-            }
-        }
-        let bound = match secondary.sense() {
-            Sense::Minimize => eps,
-            Sense::Maximize => -eps,
-        };
-        trace.push(DescentRungTrace {
-            rung,
-            bound,
-            new_points,
-            moves,
-            best: cur.map(|(i, _, _)| driver.rows[i].name.clone()),
-        });
-        if opts.budget > 0 && driver.rows.len() + driver.skipped.len() >= opts.budget {
-            break;
-        }
-    }
-
-    let front = driver
-        .front()
-        .into_iter()
-        .map(|(i, _, _)| driver.rows[i].clone())
-        .collect();
-    let evaluated = driver.rows.len() + driver.skipped.len();
-    Ok(DescentResult {
-        rows: driver.rows,
-        skipped: driver.skipped,
-        front,
-        objectives: opts.objectives.clone(),
-        constraints: opts.constraints.clone(),
-        trace,
-        evaluated,
-        pruned: driver.pruned,
-        grid_cells,
-    })
+        .next()
+        .expect("one plane in, one result out"))
 }
 
 /// One merged round of a multi-plane refinement ([`refine_multi`]): what
@@ -1532,12 +1093,12 @@ pub struct MultiRefineResult {
 /// pass and must bound axes selected by at least one plane. Budget,
 /// tolerance, warm start, and round cap are shared.
 ///
-/// Convergence matches the single-plane driver per plane: a plane stops
-/// proposing once its gaps are within tolerance (or its candidate
-/// families are exhausted), and the pass ends when no plane proposes
-/// anything new. Because every plane also sees the rows the *other*
-/// planes requested, each plane's final staircase is at least as resolved
-/// as its single-plane run's.
+/// Per plane, a plane stops proposing once its gaps are within tolerance
+/// (or its candidate families are exhausted), and the pass ends when no
+/// plane proposes anything new. Because every plane also sees the rows the
+/// *other* planes requested, each plane's final staircase is at least as
+/// resolved as its single-plane run's ([`refine`] is the one-plane case of
+/// this driver).
 ///
 /// # Errors
 ///
@@ -1559,8 +1120,8 @@ where
 
 /// [`refine_multi`], reporting each merged round's [`MultiRoundTrace`] to
 /// `observe` as soon as the round's rows are integrated (the seed round
-/// included) — the multi-plane counterpart of [`refine_with_progress`],
-/// and what the exploration server streams multi-plane `round` events
+/// included) — the one refinement round loop behind every refinement
+/// entry point, and what the exploration server streams `round` events
 /// from.
 ///
 /// # Errors
@@ -1583,6 +1144,11 @@ where
             "multi-plane refinement needs at least one objective plane".into(),
         ));
     }
+    // Refinement steers two-axis planes: with fewer axes there is no
+    // staircase and no gap, so every round would take the densification
+    // path with `gap_tol` never consulted — an unbounded hill walk dressed
+    // up as convergence. Reject up front, on every surface (library, CLI,
+    // wire all arrive here).
     for p in planes {
         if p.axes().len() < 2 {
             return Err(Error::Interp(format!(
@@ -1630,8 +1196,12 @@ where
         return Ok(empty_result(planes));
     }
 
-    // As in the single-plane driver: per-round wall-time histogram named
-    // after the plane set, plus work counters, on the current registry.
+    // Round timing lands in a histogram named after the plane set
+    // (`refine.round.<plane>[;<plane>…]`) on the current telemetry
+    // registry; the counters tally work done vs avoided. One histogram
+    // sample per evaluated round, seed included, so the sample count
+    // equals `trace.len()`. Observational only: traces and rows are
+    // bit-identical with telemetry on or off.
     let round_metric = format!(
         "refine.round.{}",
         planes
@@ -1668,8 +1238,8 @@ where
 
     let mut cancelled = false;
     for round in 1..=opts.max_rounds {
-        // Same cancellation point as the single-plane driver: between
-        // rounds, so the merged trace is a prefix of the uncancelled one.
+        // The round boundary is the one cancellation point: rows and trace
+        // integrated so far are a valid prefix of the uncancelled run.
         if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             cancelled = true;
             adhls_telemetry::counter_add("refine.cancelled", 1);
@@ -1693,9 +1263,13 @@ where
                 continue;
             }
             let (gap, fresh, pruned_now) = if stairs.len() < 2 {
-                // Same per-plane policy as the single-plane driver: an
-                // exact-axis plane's one-point staircase is a converged
-                // corner; an evaluated-axes plane densifies around it.
+                // A single-point staircase has no gap to bisect. For planes
+                // with a closed-form axis (latency/throughput) the seed's
+                // corner cells already span that axis, so it is a
+                // converged corner; planes whose axes are both evaluated
+                // quantities densify the lone point's axis neighborhood
+                // instead (see `plan_densify`). The gap is reported as 0.0,
+                // like the seed round: there is none yet.
                 if plane_has_exact_axis(plane) {
                     continue;
                 }
@@ -1729,7 +1303,7 @@ where
         // Per-plane counts reflect what was *evaluated*, not what was
         // proposed: cells the budget truncation dropped never ran, and
         // counting them would make the per-plane traces disagree with the
-        // merged trace (and with a single-plane run's under one plane).
+        // merged trace.
         let mut plane_new = vec![0usize; planes.len()];
         for c in &candidates {
             plane_new[proposer[c]] += 1;
@@ -1799,7 +1373,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineOptions;
+    use crate::pool::PoolOptions;
     use adhls_ir::builder::DesignBuilder;
     use adhls_ir::OpKind;
     use adhls_reslib::tsmc90;
@@ -1825,29 +1399,38 @@ mod tests {
             .cycles(cycles.iter().copied())
     }
 
-    fn engine(lib: &adhls_reslib::Library) -> Engine<'_> {
-        Engine::with_options(
-            lib,
+    fn pool() -> EvaluatorPool {
+        EvaluatorPool::new(
+            tsmc90::library(),
             Default::default(),
-            EngineOptions {
+            PoolOptions {
                 skip_infeasible: true,
                 ..Default::default()
             },
         )
     }
 
+    /// The exhaustive sweep's rows through the independent core per-point
+    /// path, infeasible cells skipped.
+    fn exhaustive_rows(g: &SweepGrid) -> Vec<DseRow> {
+        let lib = tsmc90::library();
+        g.expand("syn", build_cell)
+            .unwrap()
+            .iter()
+            .filter_map(|p| adhls_core::dse::evaluate_point(p, &lib, &Default::default()).ok())
+            .collect()
+    }
+
     #[test]
     fn tiny_grid_seed_is_the_whole_grid_and_front_is_exact() {
         // 3x3 axes: first/mid/last covers every index, so the adaptive
         // front must equal the exhaustive front bit for bit.
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1400, 1800], &[2, 4, 6]);
-        let eng = engine(&lib);
+        let eng = pool();
         let r = refine(&eng, &g, "syn", build_cell, &RefineOptions::default()).unwrap();
         assert_eq!(r.evaluated, 9);
         assert_eq!(r.grid_cells, 9);
-        let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
+        let ex_rows = exhaustive_rows(&g);
         assert_eq!(r.front, crate::pareto::pareto_front(&ex_rows));
         assert_eq!(r.trace[0].round, 0);
         assert_eq!(r.trace[0].new_points, 9);
@@ -1855,9 +1438,8 @@ mod tests {
 
     #[test]
     fn refined_cells_are_grid_cells_and_fewer_than_exhaustive() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
-        let eng = engine(&lib);
+        let eng = pool();
         let r = refine(
             &eng,
             &g,
@@ -1877,8 +1459,7 @@ mod tests {
         );
         // Every evaluated row is bit-identical to the exhaustive sweep's
         // row for the same cell (name match ⇒ full row match).
-        let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
+        let ex_rows = exhaustive_rows(&g);
         for row in &r.rows {
             let twin = ex_rows
                 .iter()
@@ -1891,9 +1472,8 @@ mod tests {
 
     #[test]
     fn budget_caps_evaluations() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
-        let eng = engine(&lib);
+        let eng = pool();
         let r = refine(
             &eng,
             &g,
@@ -1911,102 +1491,20 @@ mod tests {
 
     #[test]
     fn refinement_is_deterministic() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800], &[2, 3, 4, 6]);
         let opts = RefineOptions {
             gap_tol: 0.1,
             ..Default::default()
         };
-        let a = refine(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
-        let b = refine(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
+        let a = refine(&pool(), &g, "syn", build_cell, &opts).unwrap();
+        let b = refine(&pool(), &g, "syn", build_cell, &opts).unwrap();
         assert_eq!(a, b, "same grid, same options, same everything");
-    }
-
-    #[test]
-    fn descent_rows_are_grid_cells_and_rungs_tighten() {
-        let lib = tsmc90::library();
-        let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
-        let r = descend(
-            &engine(&lib),
-            &g,
-            "syn",
-            build_cell,
-            &DescentOptions::default(),
-        )
-        .unwrap();
-        assert!(!r.rows.is_empty());
-        assert!(!r.front.is_empty());
-        assert!(!r.trace.is_empty());
-        // The ladder tightens monotonically: the default plane's secondary
-        // axis (latency) is minimized, so bounds descend.
-        for pair in r.trace.windows(2) {
-            assert!(pair[1].bound <= pair[0].bound, "{:?}", r.trace);
-        }
-        // Every rung with an incumbent respects its bound, and every
-        // evaluated row is bit-identical to the exhaustive sweep's row for
-        // the same cell.
-        let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
-        for rung in &r.trace {
-            if let Some(best) = &rung.best {
-                let row = r.rows.iter().find(|row| row.name == *best).unwrap();
-                assert!(objectives(row).latency_ps <= rung.bound + 1e-9, "{rung:?}");
-            }
-        }
-        for row in &r.rows {
-            let twin = ex_rows
-                .iter()
-                .find(|e| e.name == row.name)
-                .unwrap_or_else(|| panic!("{} not a grid cell", row.name));
-            assert_eq!(row, twin);
-        }
-    }
-
-    #[test]
-    fn descent_is_deterministic_and_respects_budget() {
-        let lib = tsmc90::library();
-        let g = grid(&[1100, 1250, 1400, 1600, 1800], &[2, 3, 4, 6]);
-        let opts = DescentOptions {
-            budget: 12,
-            rungs: 4,
-            ..Default::default()
-        };
-        let a = descend(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
-        let b = descend(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
-        assert_eq!(a, b, "same grid, same options, same everything");
-        assert!(a.evaluated <= 12, "budget 12, spent {}", a.evaluated);
-    }
-
-    #[test]
-    fn descent_rejects_single_axis_planes() {
-        let lib = tsmc90::library();
-        let g = grid(&[1100, 1400], &[2, 4]);
-        let err = descend(
-            &engine(&lib),
-            &g,
-            "syn",
-            build_cell,
-            &DescentOptions {
-                objectives: ObjectiveSpace::parse("area").unwrap(),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("two-axis"), "{err}");
     }
 
     #[test]
     fn empty_axes_refine_to_nothing() {
-        let lib = tsmc90::library();
         let g = SweepGrid::new().clocks_ps([1100]);
-        let r = refine(
-            &engine(&lib),
-            &g,
-            "syn",
-            build_cell,
-            &RefineOptions::default(),
-        )
-        .unwrap();
+        let r = refine(&pool(), &g, "syn", build_cell, &RefineOptions::default()).unwrap();
         assert!(r.rows.is_empty());
         assert!(r.front.is_empty());
         assert!(r.trace.is_empty());
@@ -2014,10 +1512,9 @@ mod tests {
 
     #[test]
     fn nonfinite_gap_tol_is_clamped_not_honored() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1400, 1800], &[2, 4, 6]);
         let r = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2064,13 +1561,12 @@ mod tests {
 
     #[test]
     fn warm_start_extends_the_seed_and_preserves_the_front() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
         let opts = RefineOptions {
             gap_tol: 0.25,
             ..Default::default()
         };
-        let cold = refine(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
+        let cold = refine(&pool(), &g, "syn", build_cell, &opts).unwrap();
         // Warm-start from the cold run's front (as if re-imported from its
         // exported JSON): the warm seed contains every front cell, and the
         // refined front can only be at least as good — here, identical.
@@ -2088,7 +1584,7 @@ mod tests {
             })
             .collect();
         let warm = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2113,7 +1609,7 @@ mod tests {
         assert_eq!(warm.front, cold.front, "same grid, same converged front");
         // Cells that name no cell of this grid are ignored, not errors.
         let stray = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2133,10 +1629,9 @@ mod tests {
 
     #[test]
     fn single_axis_spaces_are_rejected_not_hill_walked() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1400, 1800], &[2, 4, 6]);
         let err = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2171,11 +1666,10 @@ mod tests {
 
     #[test]
     fn power_plane_refinement_converges_and_records_its_space() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
         let space = ObjectiveSpace::parse("area,power").unwrap();
         let r = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2194,8 +1688,7 @@ mod tests {
             "the steering plane has a staircase to converge on"
         );
         // Every evaluated cell is still a cell of the exhaustive grid.
-        let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
+        let ex_rows = exhaustive_rows(&g);
         for row in &r.rows {
             assert!(
                 ex_rows.iter().any(|e| e == row),
@@ -2206,7 +1699,7 @@ mod tests {
         // The default-space result is a different run (different steering
         // plane), but both report full-objective fronts over their rows.
         let default_run = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2221,11 +1714,10 @@ mod tests {
 
     #[test]
     fn progress_observer_sees_every_trace_entry() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800], &[2, 3, 4, 6]);
         let mut seen = Vec::new();
         let r = refine_with_progress(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2241,17 +1733,15 @@ mod tests {
 
     #[test]
     fn constrained_refine_front_is_the_feasible_slice() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
         // Reference: the unconstrained exhaustive sweep.
-        let exhaustive = g.expand("syn", build_cell).unwrap();
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).unwrap().rows;
+        let ex_rows = exhaustive_rows(&g);
         // A latency budget cutting through the middle of the plane.
         let lats: Vec<f64> = ex_rows.iter().map(|r| r.latency_ps).collect();
         let mid = lats.iter().copied().fold(f64::NEG_INFINITY, f64::max) / 2.0;
         let cs = vec![Constraint::parse(&format!("latency<={mid}")).unwrap()];
         let r = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2297,10 +1787,9 @@ mod tests {
 
     #[test]
     fn constraints_on_unselected_axes_are_rejected() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1400, 1800], &[2, 4, 6]);
         let err = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2313,7 +1802,7 @@ mod tests {
         assert!(err.to_string().contains("power"), "{err}");
         // The same bound is fine once the space selects the axis.
         refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2328,10 +1817,9 @@ mod tests {
 
     #[test]
     fn infeasible_constraints_refine_to_an_empty_front() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1400, 1800], &[2, 4, 6]);
         let r = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2349,15 +1837,14 @@ mod tests {
 
     #[test]
     fn empty_constraints_are_bit_identical_to_the_unconstrained_run() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800], &[2, 3, 4, 6]);
         let opts = RefineOptions {
             gap_tol: 0.1,
             ..Default::default()
         };
-        let plain = refine(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
+        let plain = refine(&pool(), &g, "syn", build_cell, &opts).unwrap();
         let constrained = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2393,14 +1880,13 @@ mod tests {
 
     #[test]
     fn multi_plane_refinement_shares_every_evaluation() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
         let planes = ObjectiveSpace::parse_multi("area,latency;area,power").unwrap();
         let opts = RefineOptions {
             gap_tol: 0.1,
             ..Default::default()
         };
-        let multi = refine_multi(&engine(&lib), &g, "syn", build_cell, &opts, &planes).unwrap();
+        let multi = refine_multi(&pool(), &g, "syn", build_cell, &opts, &planes).unwrap();
         assert_eq!(multi.planes.len(), 2);
         // No cell is evaluated twice: the row names are unique.
         let mut names: Vec<&str> = multi.rows.iter().map(|r| r.name.as_str()).collect();
@@ -2427,7 +1913,7 @@ mod tests {
         // as resolved).
         for (pi, plane) in planes.iter().enumerate() {
             let single = refine(
-                &engine(&lib),
+                &pool(),
                 &g,
                 "syn",
                 build_cell,
@@ -2464,11 +1950,10 @@ mod tests {
         // what was proposed: under a tight budget the merged batch is
         // truncated, and the per-plane new_points must sum to the merged
         // (post-truncation) count in every round.
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1250, 1400, 1600, 1800, 2100], &[2, 3, 4, 5, 6]);
         let planes = ObjectiveSpace::parse_multi("area,latency;area,power").unwrap();
         let multi = refine_multi(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2505,14 +1990,13 @@ mod tests {
 
     #[test]
     fn multi_plane_rejects_empty_duplicate_and_single_axis_planes() {
-        let lib = tsmc90::library();
         let g = grid(&[1100, 1400, 1800], &[2, 4, 6]);
         let opts = RefineOptions::default();
-        let err = refine_multi(&engine(&lib), &g, "syn", build_cell, &opts, &[]).unwrap_err();
+        let err = refine_multi(&pool(), &g, "syn", build_cell, &opts, &[]).unwrap_err();
         assert!(err.to_string().contains("at least one"), "{err}");
         let dup = ObjectiveSpace::parse_multi("area,power").unwrap();
         let err = refine_multi(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2522,7 +2006,7 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("twice"), "{err}");
         let err = refine_multi(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2534,7 +2018,7 @@ mod tests {
         // Constraints must hit an axis of at least one plane.
         let planes = ObjectiveSpace::parse_multi("area,latency;area,power").unwrap();
         let err = refine_multi(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2550,18 +2034,17 @@ mod tests {
 
     #[test]
     fn multi_plane_single_plane_matches_the_dedicated_driver_rows() {
-        // One plane through refine_multi explores the same grid the
-        // dedicated driver does — same seed, same gap logic — so the
-        // evaluated set and front must coincide.
-        let lib = tsmc90::library();
+        // `refine` is the one-plane case of refine_multi: the evaluated
+        // set, the front, and the per-round trace (max_gap = the plane's
+        // gap) must coincide.
         let g = grid(&[1100, 1250, 1400, 1600, 1800], &[2, 3, 4, 6]);
         let opts = RefineOptions {
             gap_tol: 0.1,
             ..Default::default()
         };
-        let single = refine(&engine(&lib), &g, "syn", build_cell, &opts).unwrap();
+        let single = refine(&pool(), &g, "syn", build_cell, &opts).unwrap();
         let multi = refine_multi(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -2576,7 +2059,7 @@ mod tests {
         let observer_run = {
             let mut seen = Vec::new();
             let r = refine_multi_with_progress(
-                &engine(&lib),
+                &pool(),
                 &g,
                 "syn",
                 build_cell,
@@ -2593,16 +2076,8 @@ mod tests {
 
     #[test]
     fn duplicate_axis_values_do_not_double_evaluate() {
-        let lib = tsmc90::library();
         let g = grid(&[1400, 1100, 1400, 1100], &[4, 2, 4]);
-        let r = refine(
-            &engine(&lib),
-            &g,
-            "syn",
-            build_cell,
-            &RefineOptions::default(),
-        )
-        .unwrap();
+        let r = refine(&pool(), &g, "syn", build_cell, &RefineOptions::default()).unwrap();
         // Deduped axes: 2 clocks x 2 cycles = 4 distinct cells at most,
         // and the reported exhaustive denominator matches the deduped
         // grid, not the raw duplicate-laden axes.

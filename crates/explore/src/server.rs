@@ -24,9 +24,10 @@
 //!   aggregation.
 //!
 //! Determinism carries through from the pool: a request's rows and front
-//! are bit-identical to a direct serial [`Engine`](crate::engine::Engine)
-//! run of the same points, no matter how many clients are connected, how
-//! the cache evicts, or which worker evaluated what.
+//! are bit-identical to serial per-point evaluation
+//! ([`adhls_core::dse::explore`]) of the same points, no matter how many
+//! clients are connected, how the cache evicts, or which worker evaluated
+//! what.
 //!
 //! See `docs/PROTOCOL.md` for the wire format and `docs/ARCHITECTURE.md`
 //! for the request lifecycle.

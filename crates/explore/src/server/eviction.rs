@@ -1,9 +1,8 @@
 //! Cache lifecycle management for long-lived evaluator processes.
 //!
-//! The engine's [`ResultCache`](crate::engine::ResultCache) grows without
-//! bound — fine for one-shot CLI sweeps, fatal for a server that evaluates
-//! millions of cells over weeks. [`EvictingCache`] is the server-grade
-//! replacement the [`EvaluatorPool`](crate::pool::EvaluatorPool) uses:
+//! An unbounded memo is fine for one-shot CLI sweeps, fatal for a server
+//! that evaluates millions of cells over weeks. [`EvictingCache`] is the
+//! result cache the [`EvaluatorPool`](crate::pool::EvaluatorPool) uses:
 //!
 //! * **byte budget** — an optional global budget, split evenly across the
 //!   shards; inserts that would exceed a shard's slice evict its
@@ -22,14 +21,14 @@
 //! recomputed on the next miss. The proptest in `tests/pool_eviction.rs`
 //! pins this down against the unbudgeted pool.
 
-use crate::engine::HitMiss;
+use crate::pool::HitMiss;
 use adhls_core::dse::DseRow;
 use adhls_ir::{Error, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Number of independent shards (same fan-out as the engine's cache).
+/// Number of independent shards (reduces lock contention).
 const SHARDS: usize = 16;
 
 /// Approximate per-entry bookkeeping overhead (hash-map slot, key, LRU
@@ -232,8 +231,8 @@ impl std::fmt::Debug for EvictingCache {
 }
 
 impl EvictingCache {
-    /// A cache bounded to roughly `capacity_bytes` (`None` = unbounded —
-    /// identical policy to the engine's plain cache). The budget is split
+    /// A cache bounded to roughly `capacity_bytes` (`None` = unbounded,
+    /// the one-shot CLI default). The budget is split
     /// evenly across the shards, so the worst-case overshoot of the global
     /// budget is zero: each shard enforces its slice under its own lock.
     #[must_use]

@@ -625,8 +625,9 @@ impl Server {
                         ..Default::default()
                     };
                     let mut stream_err: Option<std::io::Error> = None;
-                    // Single plane keeps the dedicated driver (and its
-                    // round events); several planes share one pass.
+                    // A single plane keeps the single-plane wire shapes
+                    // (round events and result); several planes share one
+                    // pass.
                     let line = {
                         let out = &mut *out;
                         let stream_err = &mut stream_err;
@@ -1356,7 +1357,6 @@ mod tests {
 
     #[test]
     fn refine_request_streams_rounds_then_result_matching_direct_run() {
-        use crate::engine::{Engine, EngineOptions};
         use crate::refine::refine;
         let srv = server(2, None);
         let lines = roundtrip(
@@ -1376,12 +1376,13 @@ mod tests {
         assert_eq!(last.get("event").and_then(Value::as_str), Some("result"));
         assert_eq!(last.get("ok"), Some(&Value::Bool(true)));
 
-        // The front over the wire is byte-identical to a direct engine run.
-        let lib = tsmc90::library();
-        let engine = Engine::with_options(
-            &lib,
+        // The front over the wire is byte-identical to a direct run on a
+        // fresh serial pool.
+        let direct_pool = EvaluatorPool::new(
+            tsmc90::library(),
             HlsOptions::default(),
-            EngineOptions {
+            PoolOptions {
+                threads: 1,
                 skip_infeasible: true,
                 ..Default::default()
             },
@@ -1394,7 +1395,7 @@ mod tests {
         })
         .unwrap();
         let direct = refine(
-            &engine,
+            &direct_pool,
             &grid,
             &prefix,
             build,

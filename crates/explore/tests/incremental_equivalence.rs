@@ -1,16 +1,17 @@
 //! Incremental evaluation is an optimization, never a semantic: every row
 //! produced through shared phase-artifact prefixes must be bit-identical
-//! to the from-scratch pipeline (`--incremental=off`). These properties
-//! sweep random grids through both paths at the engine and pool layers,
-//! walk the degenerate `cycles_per_item == 0` clamp, and check the prefix
-//! cache really was live (`pipeline.prefix.hit` > 0) while it happened.
+//! to the from-scratch pipeline (`--incremental=off`) and to the core
+//! per-point path. These properties sweep random grids through both pool
+//! paths, walk the degenerate `cycles_per_item == 0` clamp, and check the
+//! prefix cache really was live (`pipeline.prefix.hit` > 0) while it
+//! happened.
 
-use adhls_core::dse::DsePoint;
+use adhls_core::dse::{evaluate_point, DsePoint};
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::refine::Evaluator;
 use adhls_explore::sweep::SweepCell;
-use adhls_explore::{Engine, EngineOptions, SweepGrid};
+use adhls_explore::SweepGrid;
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::{Design, OpKind};
 use adhls_reslib::tsmc90;
@@ -47,11 +48,11 @@ fn grid_from(clock_seeds: &[u16], cycle_seeds: &[u16]) -> SweepGrid {
     SweepGrid::new().clocks_ps(clocks).cycles(cycles)
 }
 
-fn engine(lib: &adhls_reslib::Library, threads: usize, incremental: bool) -> Engine<'_> {
-    Engine::with_options(
-        lib,
+fn pool(threads: usize, incremental: bool) -> EvaluatorPool {
+    EvaluatorPool::new(
+        tsmc90::library(),
         HlsOptions::default(),
-        EngineOptions {
+        PoolOptions {
             threads,
             skip_infeasible: true,
             incremental,
@@ -63,8 +64,9 @@ fn engine(lib: &adhls_reslib::Library, threads: usize, incremental: bool) -> Eng
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Engine sweeps: prefix-shared rows are bit-identical to from-scratch
-    /// rows, serially and in parallel, skips included.
+    /// Pool sweeps: prefix-shared rows are bit-identical to from-scratch
+    /// rows and to the core per-point path, serially and in parallel,
+    /// skips included.
     #[test]
     fn engine_incremental_rows_equal_from_scratch(
         clock_seeds in prop::collection::vec(0u16..10, 2..5),
@@ -76,16 +78,17 @@ proptest! {
             .expand("inc", build_cell)
             .expect("grid expands");
 
-        let warm = engine(&lib, threads, true);
-        let cold = engine(&lib, threads, false);
-        let a = warm.evaluate(&points).expect("incremental sweep runs");
-        let b = cold.evaluate(&points).expect("from-scratch sweep runs");
+        let a = pool(threads, true).evaluate(&points).expect("incremental sweep runs");
+        let b = pool(threads, false).evaluate(&points).expect("from-scratch sweep runs");
         prop_assert_eq!(&a.rows, &b.rows, "prefix sharing changed a row");
         prop_assert_eq!(&a.skipped, &b.skipped);
 
-        // Serial paths agree too (and with the parallel rows).
-        let s = engine(&lib, 1, true).evaluate_serial(&points).expect("serial runs");
-        prop_assert_eq!(&s.rows, &a.rows);
+        // The core per-point path agrees too (and with the parallel rows).
+        let core: Vec<_> = points
+            .iter()
+            .filter_map(|p| evaluate_point(p, &lib, &HlsOptions::default()).ok())
+            .collect();
+        prop_assert_eq!(&core, &a.rows);
         prop_assert!(!a.rows.is_empty());
     }
 
@@ -163,13 +166,15 @@ fn degenerate_zero_cycles_per_item_clamps_identically() {
         cycles_per_item: 0,
     };
     let points = vec![point];
-    let warm = engine(&lib, 1, true)
-        .evaluate_serial(&points)
+    let warm = pool(1, true)
+        .evaluate(&points)
         .expect("degenerate point schedules");
-    let cold = engine(&lib, 1, false)
-        .evaluate_serial(&points)
+    let cold = pool(1, false)
+        .evaluate(&points)
         .expect("degenerate point schedules");
     assert_eq!(warm.rows, cold.rows);
+    let core = evaluate_point(&points[0], &lib, &HlsOptions::default());
+    assert_eq!(warm.rows, vec![core.expect("degenerate point schedules")]);
     let row = &warm.rows[0];
     assert!(
         row.throughput.is_finite() && row.throughput > 0.0,

@@ -25,7 +25,7 @@ use adhls_explore::pareto::{
 };
 use adhls_explore::refine::{refine, RefineOptions, WarmStart};
 use adhls_explore::sweep::SweepCell;
-use adhls_explore::{Engine, EngineOptions, SweepGrid};
+use adhls_explore::{EvaluatorPool, PoolOptions, SweepGrid};
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::{Design, OpKind};
 use adhls_reslib::tsmc90;
@@ -136,11 +136,11 @@ fn build_cell(cell: &SweepCell) -> Design {
     b.finish().unwrap()
 }
 
-fn engine(lib: &adhls_reslib::Library) -> Engine<'_> {
-    Engine::with_options(
-        lib,
+fn pool() -> EvaluatorPool {
+    EvaluatorPool::new(
+        tsmc90::library(),
         HlsOptions::default(),
-        EngineOptions {
+        PoolOptions {
             skip_infeasible: true,
             ..Default::default()
         },
@@ -196,14 +196,13 @@ proptest! {
         clock_seeds in prop::collection::vec(0u16..10, 2..5),
         cycle_seeds in prop::collection::vec(0u16..7, 2..5),
     ) {
-        let lib = tsmc90::library();
         let g = grid_from(&clock_seeds, &cycle_seeds);
         let implicit = refine(
-            &engine(&lib), &g, "syn", build_cell,
+            &pool(), &g, "syn", build_cell,
             &RefineOptions { gap_tol: 0.1, ..Default::default() },
         ).expect("implicit run");
         let explicit = refine(
-            &engine(&lib), &g, "syn", build_cell,
+            &pool(), &g, "syn", build_cell,
             &RefineOptions {
                 gap_tol: 0.1,
                 objectives: ObjectiveSpace::new([Objective::Area, Objective::LatencyPs]).unwrap(),
@@ -219,13 +218,12 @@ proptest! {
 
 #[test]
 fn warm_start_round_trips_fronts_exported_under_a_non_default_space() {
-    let lib = tsmc90::library();
     let g = SweepGrid::new()
         .clocks_ps([1100, 1250, 1400, 1600, 1800])
         .cycles([2, 3, 4, 6]);
     let power_space = ObjectiveSpace::parse("area,power").unwrap();
     let power_run = refine(
-        &engine(&lib),
+        &pool(),
         &g,
         "syn",
         build_cell,
@@ -254,7 +252,7 @@ fn warm_start_round_trips_fronts_exported_under_a_non_default_space() {
     // warm cell is evaluated up front, and nothing the cold seed would
     // have evaluated is lost.
     let cold = refine(
-        &engine(&lib),
+        &pool(),
         &g,
         "syn",
         build_cell,
@@ -265,7 +263,7 @@ fn warm_start_round_trips_fronts_exported_under_a_non_default_space() {
     )
     .expect("cold default run");
     let warm_run = refine(
-        &engine(&lib),
+        &pool(),
         &g,
         "syn",
         build_cell,

@@ -1,13 +1,14 @@
 //! The persistent pool's headline contract: sweeps and adaptive
 //! refinements submitted concurrently through one shared pool are
-//! bit-identical to their serial-engine references — worker count, request
+//! bit-identical to their serial references — worker count, request
 //! interleaving, and cache state must not leak into any result.
 
+use adhls_core::dse::explore;
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::refine::{refine, RefineOptions};
 use adhls_explore::sweep::SweepCell;
-use adhls_explore::{Engine, EngineOptions, SweepGrid};
+use adhls_explore::SweepGrid;
 use adhls_ir::Design;
 use adhls_reslib::tsmc90;
 use adhls_workloads::{interpolation, sweep};
@@ -29,10 +30,8 @@ fn interp_grid() -> SweepGrid {
 
 #[test]
 fn pool_sweep_matches_serial_engine_on_a_real_workload() {
-    let lib = tsmc90::library();
     let points = sweep::interpolation_default();
-    let serial = Engine::new(&lib, HlsOptions::default())
-        .evaluate_serial(&points)
+    let serial = explore(&points, &tsmc90::library(), &HlsOptions::default())
         .expect("serial sweep schedules");
     let pool = EvaluatorPool::new(
         tsmc90::library(),
@@ -43,17 +42,14 @@ fn pool_sweep_matches_serial_engine_on_a_real_workload() {
         },
     );
     let r = pool.evaluate(&points).expect("pool sweep schedules");
-    assert_eq!(r.rows, serial.rows, "pool rows must be bit-identical");
+    assert_eq!(r.rows, serial, "pool rows must be bit-identical");
 }
 
 #[test]
 fn concurrent_sweeps_through_one_pool_stay_bit_identical_to_serial() {
-    let lib = tsmc90::library();
     let points = sweep::interpolation_default();
-    let reference = Engine::new(&lib, HlsOptions::default())
-        .evaluate_serial(&points)
-        .expect("serial sweep schedules")
-        .rows;
+    let reference = explore(&points, &tsmc90::library(), &HlsOptions::default())
+        .expect("serial sweep schedules");
     let pool = Arc::new(EvaluatorPool::new(
         tsmc90::library(),
         HlsOptions::default(),
@@ -80,21 +76,20 @@ fn concurrent_sweeps_through_one_pool_stay_bit_identical_to_serial() {
 fn concurrent_adaptive_refinements_share_one_pool_bit_identically() {
     // The ISSUE's acceptance bar: adaptive sweeps racing on one shared
     // pool must produce the same rows, front, and trace as a serial run.
-    let lib = tsmc90::library();
     let opts = RefineOptions {
         gap_tol: 0.05,
         ..Default::default()
     };
-    let serial_engine = Engine::with_options(
-        &lib,
+    let serial_pool = EvaluatorPool::new(
+        tsmc90::library(),
         HlsOptions::default(),
-        EngineOptions {
+        PoolOptions {
             threads: 1,
             skip_infeasible: true,
             ..Default::default()
         },
     );
-    let reference = refine(&serial_engine, &interp_grid(), "interp", interp_cell, &opts)
+    let reference = refine(&serial_pool, &interp_grid(), "interp", interp_cell, &opts)
         .expect("serial refinement runs");
     assert!(!reference.front.is_empty());
 

@@ -2,11 +2,10 @@
 //! *what is returned* — and the budget holds even under concurrent
 //! submitters.
 
-use adhls_core::dse::DsePoint;
+use adhls_core::dse::{explore, DsePoint};
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::eviction::row_cost;
-use adhls_explore::Engine;
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::OpKind;
 use adhls_reslib::tsmc90;
@@ -43,10 +42,7 @@ fn fleet() -> Vec<DsePoint> {
 /// budgets scale with the entry size instead of hard-coding it.
 fn one_row_cost() -> usize {
     let lib = tsmc90::library();
-    let rows = Engine::new(&lib, HlsOptions::default())
-        .evaluate_serial(&fleet()[..1])
-        .unwrap()
-        .rows;
+    let rows = explore(&fleet()[..1], &lib, &HlsOptions::default()).unwrap();
     row_cost(&rows[0])
 }
 
@@ -127,9 +123,7 @@ fn cache_budget_holds_under_concurrent_submitters() {
         })
         .collect();
     assert_eq!(pts.len(), 24);
-    let reference = Engine::new(&lib, HlsOptions::default())
-        .evaluate_serial(&pts)
-        .unwrap();
+    let reference = explore(&pts, &lib, &HlsOptions::default()).unwrap();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -160,9 +154,9 @@ fn cache_budget_holds_under_concurrent_submitters() {
     assert!(m.evictions > 0, "budget was sized to force evictions");
     assert!(m.bytes <= budget);
     assert!(m.entries > 0, "budget was sized to cache something");
-    // And the rows the whole time were the serial engine's rows.
+    // And the rows the whole time were the serial core path's rows.
     let again = shared.evaluate(&pts).unwrap();
-    assert_eq!(again.rows, reference.rows);
+    assert_eq!(again.rows, reference);
 }
 
 /// An unbudgeted pool never evicts — the one-shot CLI behavior.

@@ -7,7 +7,7 @@ use adhls_core::sched::HlsOptions;
 use adhls_explore::pareto::{objectives, pareto_front};
 use adhls_explore::refine::{refine, Evaluator, RefineOptions};
 use adhls_explore::sweep::SweepCell;
-use adhls_explore::{Engine, EngineOptions, SweepGrid};
+use adhls_explore::{EvaluatorPool, PoolOptions, SweepGrid};
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::{Design, OpKind};
 use adhls_reslib::tsmc90;
@@ -28,11 +28,11 @@ fn build_cell(cell: &SweepCell) -> Design {
     b.finish().unwrap()
 }
 
-fn engine(lib: &adhls_reslib::Library) -> Engine<'_> {
-    Engine::with_options(
-        lib,
+fn pool() -> EvaluatorPool {
+    EvaluatorPool::new(
+        tsmc90::library(),
         HlsOptions::default(),
-        EngineOptions {
+        PoolOptions {
             skip_infeasible: true,
             ..Default::default()
         },
@@ -61,12 +61,11 @@ proptest! {
         clock_seeds in prop::collection::vec(0u16..10, 2..6),
         cycle_seeds in prop::collection::vec(0u16..7, 2..6),
     ) {
-        let lib = tsmc90::library();
         let g = grid_from(&clock_seeds, &cycle_seeds);
-        let r = refine(&engine(&lib), &g, "syn", build_cell, &RefineOptions::default())
+        let r = refine(&pool(), &g, "syn", build_cell, &RefineOptions::default())
             .expect("refinement runs");
         let exhaustive = g.expand("syn", build_cell).expect("grid expands");
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).expect("sweep runs").rows;
+        let ex_rows = pool().evaluate_points(&exhaustive).expect("sweep runs").rows;
         prop_assert!(r.evaluated <= r.grid_cells);
         for row in &r.rows {
             let twin = ex_rows.iter().find(|e| e.name == row.name);
@@ -86,10 +85,9 @@ proptest! {
         tol_pick in 0u16..3,
     ) {
         let gap_tol = [0.05, 0.15, 0.3][tol_pick as usize];
-        let lib = tsmc90::library();
         let g = grid_from(&clock_seeds, &cycle_seeds);
         let r = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -97,7 +95,7 @@ proptest! {
         )
         .expect("refinement runs");
         let exhaustive = g.expand("syn", build_cell).expect("grid expands");
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).expect("sweep runs").rows;
+        let ex_rows = pool().evaluate_points(&exhaustive).expect("sweep runs").rows;
         let ex_front = pareto_front(&ex_rows);
         prop_assert!(!ex_front.is_empty());
         // Normalization box of the exhaustive front.
@@ -128,17 +126,16 @@ proptest! {
     }
 
     /// Refinement is a pure function of (grid, options): two runs on fresh
-    /// engines agree on everything, including the trace.
+    /// pools agree on everything, including the trace.
     #[test]
     fn refinement_is_deterministic(
         clock_seeds in prop::collection::vec(0u16..10, 2..5),
         cycle_seeds in prop::collection::vec(0u16..7, 2..5),
     ) {
-        let lib = tsmc90::library();
         let g = grid_from(&clock_seeds, &cycle_seeds);
         let opts = RefineOptions { gap_tol: 0.1, ..Default::default() };
-        let a = refine(&engine(&lib), &g, "syn", build_cell, &opts).expect("first run");
-        let b = refine(&engine(&lib), &g, "syn", build_cell, &opts).expect("second run");
+        let a = refine(&pool(), &g, "syn", build_cell, &opts).expect("first run");
+        let b = refine(&pool(), &g, "syn", build_cell, &opts).expect("second run");
         prop_assert_eq!(a, b);
     }
 
@@ -157,14 +154,13 @@ proptest! {
     ) {
         use adhls_explore::constraint::Constraint;
         use adhls_explore::pareto::{pareto_front_in_constrained, ObjectiveSpace};
-        let lib = tsmc90::library();
         let g = grid_from(&clock_seeds, &cycle_seeds);
         // An improving latency budget cutting through the grid's range
         // (cells run at clock*cycles ps, clocks 1100..2360, cycles 2..8).
         let bound = f64::from(lat_seed) * 1500.0;
         let cs = vec![Constraint::parse(&format!("latency<={bound}")).unwrap()];
         let r = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,
@@ -189,7 +185,7 @@ proptest! {
         // ...and every evaluated row is bit-identical to the exhaustive
         // sweep's row for the same cell.
         let exhaustive = g.expand("syn", build_cell).expect("grid expands");
-        let ex_rows = engine(&lib).evaluate_points(&exhaustive).expect("sweep").rows;
+        let ex_rows = pool().evaluate_points(&exhaustive).expect("sweep").rows;
         for row in &r.rows {
             prop_assert!(
                 ex_rows.iter().any(|e| e == row),
@@ -207,10 +203,9 @@ proptest! {
         cycle_seeds in prop::collection::vec(0u16..7, 2..6),
         budget in 1usize..14,
     ) {
-        let lib = tsmc90::library();
         let g = grid_from(&clock_seeds, &cycle_seeds);
         let r = refine(
-            &engine(&lib),
+            &pool(),
             &g,
             "syn",
             build_cell,

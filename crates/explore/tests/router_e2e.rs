@@ -1,11 +1,10 @@
 //! End-to-end acceptance for the multi-worker serve tier: a router over
 //! N≥2 in-process workers answers concurrent IDCT refinements — and a
-//! full sweep — **bit-identically** to a direct single-pool server backed
-//! by the same engine, while spreading the requests across worker shards.
+//! full sweep — **bit-identically** to a direct single-pool server, while
+//! spreading the requests across worker shards.
 
 use adhls_core::json::Value;
 use adhls_core::sched::HlsOptions;
-use adhls_explore::engine::{Engine, EngineOptions};
 use adhls_explore::fingerprint::Fnv;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::protocol::parse_request;
@@ -127,34 +126,29 @@ fn a_routed_sweep_matches_the_direct_response_and_the_engine_rows() {
     let routed = String::from_utf8(out).expect("responses are UTF-8");
     assert_eq!(routed, direct_response(SWEEP), "routed sweep diverged");
 
-    // Tie the wire rows back to a direct Engine evaluation: same points,
-    // same names, in the same order.
+    // Tie the wire rows back to the core per-point path: same points, same
+    // names, in the same order (infeasible points skipped).
     let (_, cmd) = parse_request(SWEEP);
     let Ok(Command::Sweep(spec)) = cmd else {
         panic!("fixture parses as sweep")
     };
     let points = sweep_points(&spec).expect("fixture expands");
     let lib = tsmc90::library();
-    let engine = Engine::with_options(
-        &lib,
-        HlsOptions::default(),
-        EngineOptions {
-            skip_infeasible: true,
-            ..Default::default()
-        },
-    );
-    let reference = engine.evaluate(&points).expect("engine sweep");
+    let reference: Vec<_> = points
+        .iter()
+        .filter_map(|p| adhls_core::dse::evaluate_point(p, &lib, &HlsOptions::default()).ok())
+        .collect();
 
     let doc = Value::parse(routed.trim_end()).expect("sweep response is JSON");
     let Some(Value::Arr(rows)) = doc.get("rows") else {
         panic!("sweep response has rows: {routed}")
     };
-    assert_eq!(rows.len(), reference.rows.len());
-    for (wire, engine_row) in rows.iter().zip(&reference.rows) {
+    assert_eq!(rows.len(), reference.len());
+    for (wire, core_row) in rows.iter().zip(&reference) {
         assert_eq!(
             wire.get("name").and_then(Value::as_str),
-            Some(engine_row.name.as_str()),
-            "wire row order must match the engine's input order"
+            Some(core_row.name.as_str()),
+            "wire row order must match the input order"
         );
     }
 }

@@ -11,25 +11,24 @@ use adhls::prelude::*;
 use adhls::workloads::sweep;
 
 fn main() {
-    let lib = tsmc90::library();
     let points = sweep::interpolation_default();
     println!("sweeping {} interpolation design points\n", points.len());
 
-    let engine = Engine::with_options(
-        &lib,
+    let pool = EvaluatorPool::new(
+        tsmc90::library(),
         HlsOptions::default(),
-        EngineOptions {
+        PoolOptions {
             threads: 4,
             ..Default::default()
         },
     );
     let t0 = std::time::Instant::now();
-    let result = engine.evaluate(&points).expect("default grid schedules");
+    let result = pool.evaluate(&points).expect("default grid schedules");
     let t_cold = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let again = engine.evaluate(&points).expect("cached re-sweep");
+    let again = pool.evaluate(&points).expect("cached re-sweep");
     let t_warm = t1.elapsed();
-    assert_eq!(result.rows, again.rows, "engine results are deterministic");
+    assert_eq!(result.rows, again.rows, "pool results are deterministic");
 
     let front = pareto_front(&result.rows);
     println!(

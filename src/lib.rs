@@ -19,9 +19,9 @@
 //!   design-space exploration ([`adhls_core`]).
 //! * [`workloads`] — interpolation, resizer, IDCT, FIR, matmul, random
 //!   fleets, and per-workload sweep constructors ([`adhls_workloads`]).
-//! * [`explore`] — the parallel Pareto design-space exploration engine:
-//!   sweep grids, work-stealing evaluation with a memo cache, a
-//!   persistent evaluator pool, pluggable objective spaces
+//! * [`explore`] — parallel Pareto design-space exploration: sweep
+//!   grids, a persistent evaluator pool with a memo cache, pluggable
+//!   objective spaces
 //!   (area/latency/power/throughput tradeoff planes), adaptive
 //!   refinement with warm starts, dominance pruning, JSON/CSV export,
 //!   and the `adhls serve` daemon (line-delimited JSON protocol,
@@ -53,7 +53,8 @@ pub mod prelude {
     pub use adhls_core::sched::{run_hls, Flow, HlsOptions, HlsResult};
     pub use adhls_core::{AreaReport, Schedule};
     pub use adhls_explore::{
-        pareto_front, pareto_front_in, Engine, EngineOptions, Objective, ObjectiveSpace, SweepGrid,
+        pareto_front, pareto_front_in, EvaluatorPool, Objective, ObjectiveSpace, PoolOptions,
+        SweepGrid,
     };
     pub use adhls_ir::builder::DesignBuilder;
     pub use adhls_ir::interp::{run, run_placed, Stimulus};
