@@ -761,6 +761,85 @@ mod tests {
     }
 
     #[test]
+    fn parallel_matches_serial_bit_for_bit() {
+        let pts = fleet();
+        let serial = pool(1).evaluate(&pts).unwrap();
+        let par = pool(4).evaluate(&pts).unwrap();
+        assert_eq!(par.rows, serial.rows);
+        assert_eq!(serial.workers, 1);
+        assert!(
+            par.workers > 1,
+            "expected a parallel run, got {} worker",
+            par.workers
+        );
+    }
+
+    #[test]
+    fn one_shot_helper_matches_core_explore() {
+        // The one-shot path: a fresh pool with default options (one thread
+        // per core, unbounded cache) must reproduce the core serial driver.
+        let pts = fleet();
+        let pool = EvaluatorPool::new(
+            tsmc90::library(),
+            HlsOptions::default(),
+            PoolOptions::default(),
+        );
+        assert_eq!(pool.evaluate(&pts).unwrap().rows, core_rows(&pts));
+    }
+
+    #[test]
+    fn cache_makes_repeat_sweeps_free() {
+        // Serial pool: the second sweep of the same grid is all hits and
+        // adds no misses.
+        let pool = pool(1);
+        let pts = fleet();
+        let first = pool.evaluate(&pts).unwrap();
+        assert_eq!(first.cache_hits, 0);
+        let misses = pool.cache_stats().misses;
+        let second = pool.evaluate(&pts).unwrap();
+        assert_eq!(second.cache_hits, pts.len() as u64);
+        assert_eq!(pool.cache_stats().misses, misses);
+        assert_eq!(first.rows, second.rows);
+    }
+
+    #[test]
+    fn infeasible_point_fails_or_skips_by_policy() {
+        // 1 ps clock: nothing fits — guaranteed infeasible.
+        let bad = point("bad", 0, 1);
+        let good = point("good", 3, 1400);
+        assert!(pool(1).evaluate(&[good.clone(), bad.clone()]).is_err());
+        let lenient = EvaluatorPool::new(
+            tsmc90::library(),
+            HlsOptions::default(),
+            PoolOptions {
+                threads: 1,
+                skip_infeasible: true,
+                ..Default::default()
+            },
+        );
+        let r = lenient.evaluate(&[good, bad]).unwrap();
+        assert_eq!(r.rows.len(), 1);
+        assert_eq!(r.skipped.len(), 1);
+        assert_eq!(r.skipped[0].0, "bad");
+    }
+
+    #[test]
+    fn recover_mode_rows_dominate_full_mode_baseline() {
+        // Same grid in both modes, each on its own pool: every recovered
+        // row's reported implementation must not exceed its own
+        // conventional baseline, and the baselines must agree bit-for-bit
+        // with full mode's.
+        let pts = fleet();
+        let full = pool(1).evaluate_mode(&pts, PointMode::Full).unwrap();
+        let rec = pool(1).evaluate_mode(&pts, PointMode::Recover).unwrap();
+        assert_eq!(full.rows.len(), rec.rows.len());
+        for (f, r) in full.rows.iter().zip(&rec.rows) {
+            assert_eq!(f.a_conv, r.a_conv, "shared conventional baseline");
+            assert!(r.a_slack <= r.a_conv, "recovered area exceeds baseline");
+        }
+    }
+
+    #[test]
     fn duplicate_points_hit_within_one_sweep() {
         let p = point("dup", 2, 1100);
         let r = pool(1).evaluate(&[p.clone(), p.clone(), p]).unwrap();
