@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Record a per-PR performance snapshot (the ROADMAP's perf-trajectory
-# item): run the seven exploration benches in full-measurement mode with
+# item): run the six exploration benches in full-measurement mode with
 # telemetry metering on, then assemble the timings and each bench
 # binary's registry snapshot into one BENCH_<n>.json at the repo root.
 #
@@ -20,7 +20,7 @@ SAMPLES="${ADHLS_BENCH_SAMPLE_SIZE:-5}"
 DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
-BENCHES="explore_parallel explore_adaptive explore_power serve_throughput explore_constrained explore_incremental explore_recovery"
+BENCHES="explore_parallel explore_adaptive explore_power serve_throughput explore_constrained explore_incremental"
 for b in $BENCHES; do
   echo "== $b ($SAMPLES samples) =="
   ADHLS_BENCH_METRICS_DIR="$DIR" ADHLS_BENCH_SAMPLE_SIZE="$SAMPLES" \

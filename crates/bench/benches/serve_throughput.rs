@@ -51,7 +51,6 @@ fn bench(c: &mut Criterion) {
             skip_infeasible: true,
             cache_bytes: Some(32 << 20),
             incremental: true,
-            ..Default::default()
         },
         adhls_telemetry::global().clone(),
     ));
@@ -129,7 +128,6 @@ fn bench(c: &mut Criterion) {
             skip_infeasible: true,
             cache_bytes: None,
             incremental: true,
-            ..Default::default()
         },
     ));
     let mut shard_bytes = [0i64; 2];
@@ -160,7 +158,6 @@ fn bench(c: &mut Criterion) {
                 skip_infeasible: true,
                 cache_bytes: Some(budget),
                 incremental: true,
-                ..Default::default()
             },
         )
     };
@@ -219,7 +216,6 @@ fn bench(c: &mut Criterion) {
                     skip_infeasible: true,
                     cache_bytes: Some(32 << 20),
                     incremental: true,
-                    ..Default::default()
                 },
             ));
             black_box(roundtrip(&cold, SWEEP_REQ))

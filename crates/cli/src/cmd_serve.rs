@@ -44,9 +44,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         skip_infeasible: !o.flag("--strict"),
         cache_bytes,
         incremental: o.switch("--incremental", true)?,
-        // The pool default stays `full`; each request picks its own mode
-        // via the wire spec's `mode` field (see docs/PROTOCOL.md).
-        point_mode: adhls_core::PointMode::Full,
     };
     let workers = o.num("--workers", 0usize)?;
     if workers > 0 {

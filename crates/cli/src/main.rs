@@ -61,16 +61,6 @@ EXPLORE OPTIONS:
     --incremental[=off]   reuse clock-independent prefix artifacts across
                           a design's cells  [default: on]; `off` evaluates
                           every point from scratch (same rows, slower)
-    --mode <M>            per-point evaluation mode  [default: full]:
-                          `full` re-synthesizes every point; `recover`
-                          downgrades non-critical resource grades from the
-                          fastest binding while slack allows (never worse
-                          than the conventional baseline, but not cheaper:
-                          1.5-1.8x full's time per cell on the
-                          explore_recovery bench grids); `auto` picks
-                          recovery per cell when the latency budget leaves
-                          positive slack, else falls back to full (see
-                          docs/EXPLORATION.md)
     --skip-infeasible     drop unschedulable points instead of failing
     --front-only          print only the Pareto front
     --json <PATH>         write sweep + front JSON with its objective
@@ -99,11 +89,6 @@ ADAPTIVE EXPLORE OPTIONS (interpolation | idct | matmul):
     --warm-start <PATH>   seed refinement from a previously exported
                           front/sweep JSON (grid-named rows only; works
                           across objective spaces)
-    --mode <M>            as in EXPLORE OPTIONS; `auto` refines with
-                          slack recovery on cells with headroom and full
-                          synthesis elsewhere (fewer full evaluations; its
-                          front may differ from full's, by up to 1% area
-                          per latency class on the FIR acceptance grid)
 
 SERVE OPTIONS (line-delimited JSON protocol; see docs/PROTOCOL.md):
     --addr <HOST:PORT>    TCP listen address  [default: 127.0.0.1:7130;

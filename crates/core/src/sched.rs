@@ -220,55 +220,6 @@ pub fn run_hls_prepared(
     )
 }
 
-/// Schedules `prep`'s design with externally chosen grade candidates —
-/// the rebind step of slack recovery ([`crate::recover`]), where every
-/// resource op arrives pinned to a one-candidate list. Runs the ordinary
-/// relaxation loop (resource-limit relaxations still apply; timing
-/// relaxations have nowhere to go and surface as the overconstrained
-/// error) and the full bind/area finish, so the result is a validated
-/// schedule like any other.
-///
-/// Deliberately passes `prep = None` into the scheduling phase: the
-/// per-prepared-design `ClockContext` cache is keyed on options alone and
-/// assumes pristine (untruncated) candidate lists — a one-candidate list
-/// would look pristine to the cap check and poison the cache shared with
-/// real conventional runs. Elaboration artifacts are still reused via
-/// `prep`'s accessors, so recovery never re-elaborates.
-///
-/// # Errors
-///
-/// Same conditions as [`run_hls`]; additionally errs when the pinned
-/// grades cannot meet timing once sharing overheads apply.
-pub(crate) fn run_hls_fixed_grades(
-    prep: &PreparedDesign,
-    lib: &Library,
-    opts: &HlsOptions,
-    choices: &[OpChoice],
-) -> Result<HlsResult> {
-    let design = prep.design();
-    let (schedule, spans_final, relax_rounds) =
-        adhls_telemetry::timed("pipeline.schedule", || {
-            schedule_phase(
-                design,
-                prep.info(),
-                prep.span_analysis(),
-                lib,
-                opts,
-                choices,
-                None,
-            )
-        })?;
-    finish_hls(
-        design,
-        prep.info(),
-        schedule,
-        &spans_final,
-        relax_rounds,
-        lib,
-        opts,
-    )
-}
-
 /// The scheduling phase: the relaxation loop of `Schedule_pass` attempts
 /// (paper Fig. 8 steps 2–4). Shared verbatim by the from-scratch and
 /// prepared paths; `prep` only swaps recomputation for cached artifacts.

@@ -114,12 +114,6 @@ pub fn options_fingerprint(opts: &HlsOptions) -> u64 {
 /// sharing). `tests/proptest_fingerprint.rs` pins both directions:
 /// insensitive to the knobs the prefix survives, sensitive to everything
 /// else.
-///
-/// The evaluation mode ([`adhls_core::PointMode`]) is deliberately absent
-/// on both sides of this split: preparation is mode-independent, so full,
-/// recover, and auto evaluations of one design share a single prefix,
-/// while their *rows* never alias because the mode is folded into the
-/// per-point result cache key instead (`pool::point_key`).
 #[must_use]
 pub fn prefix_options_fingerprint(opts: &HlsOptions) -> u64 {
     let norm = HlsOptions {

@@ -19,10 +19,9 @@
 
 use crate::fingerprint::{design_fingerprint, options_fingerprint, Fnv};
 use crate::server::eviction::{CacheStats, EvictingCache, Outcome};
-use adhls_core::dse::{DsePoint, DseRow};
-use adhls_core::recover::{evaluate_mode_point, evaluate_mode_prepared};
+use adhls_core::dse::{evaluate_point_from_scratch, evaluate_prepared, DsePoint, DseRow};
 use adhls_core::sched::HlsOptions;
-use adhls_core::{PointMode, PreparedDesign};
+use adhls_core::PreparedDesign;
 use adhls_ir::{Design, Error, Result};
 use adhls_reslib::Library;
 use adhls_telemetry::{Registry, Snapshot};
@@ -128,15 +127,7 @@ impl PrefixCache {
 /// panic) and, in release, wrapped `Some(u32::MAX)` onto the same word as
 /// `None` — a silent key collision between a pipelined and a sequential
 /// point.
-///
-/// The evaluation mode is part of the key (its one-byte
-/// [`PointMode::cache_tag`]): full, recover, and auto rows are distinct
-/// results for the same point, so they may never alias in the result
-/// cache. The *prefix* cache deliberately stays mode-blind — elaboration
-/// artifacts are identical across modes and recovery must never
-/// re-elaborate (see
-/// [`crate::fingerprint::prefix_options_fingerprint`]).
-fn point_key(base: &HlsOptions, p: &DsePoint, mode: PointMode) -> u64 {
+fn point_key(base: &HlsOptions, p: &DsePoint) -> u64 {
     let mut h = Fnv::default();
     h.u64(design_fingerprint(&p.design));
     h.u64(options_fingerprint(base));
@@ -147,7 +138,6 @@ fn point_key(base: &HlsOptions, p: &DsePoint, mode: PointMode) -> u64 {
     };
     h.u64(u64::from(p.cycles_per_item));
     h.str(&p.name);
-    h.u64(u64::from(mode.cache_tag()));
     h.digest()
 }
 
@@ -171,12 +161,6 @@ pub struct PoolOptions {
     /// the escape hatch and the benchmark baseline; rows are bit-identical
     /// either way.
     pub incremental: bool,
-    /// Evaluation mode for batches submitted without a per-call mode
-    /// ([`EvaluatorPool::evaluate`]): full two-flow synthesis (default),
-    /// slack recovery, or per-cell auto (see [`PointMode`]). Per-request
-    /// modes ([`EvaluatorPool::evaluate_mode`]) share the same workers and
-    /// cache — the mode is part of every row's cache key.
-    pub point_mode: PointMode,
 }
 
 impl Default for PoolOptions {
@@ -186,7 +170,6 @@ impl Default for PoolOptions {
             skip_infeasible: false,
             cache_bytes: None,
             incremental: true,
-            point_mode: PointMode::Full,
         }
     }
 }
@@ -199,9 +182,6 @@ impl Default for PoolOptions {
 /// evaluation.
 struct Batch {
     points: Vec<DsePoint>,
-    /// Evaluation mode for every point in this batch; batches with
-    /// different modes coexist on one pool.
-    mode: PointMode,
     skip_infeasible: bool,
     next: AtomicUsize,
     filled: AtomicUsize,
@@ -219,11 +199,10 @@ struct Batch {
 }
 
 impl Batch {
-    fn new(points: Vec<DsePoint>, mode: PointMode, skip_infeasible: bool, timed: bool) -> Self {
+    fn new(points: Vec<DsePoint>, skip_infeasible: bool, timed: bool) -> Self {
         let slots = (0..points.len()).map(|_| OnceLock::new()).collect();
         Batch {
             points,
-            mode,
             skip_infeasible,
             next: AtomicUsize::new(0),
             filled: AtomicUsize::new(0),
@@ -310,20 +289,15 @@ impl Shared {
     /// worker, and a claimed-but-never-filled slot would leave the
     /// submitter waiting forever (a pool has no joining point per batch to
     /// propagate the panic at).
-    fn evaluate_one(
-        &self,
-        p: &DsePoint,
-        mode: PointMode,
-        batch_hits: &AtomicU64,
-    ) -> Result<DseRow> {
-        let key = point_key(&self.base, p, mode);
+    fn evaluate_one(&self, p: &DsePoint, batch_hits: &AtomicU64) -> Result<DseRow> {
+        let key = point_key(&self.base, p);
         let (result, outcome) = self.cache.get_or_compute(key, || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if self.incremental {
                     let prep = self.prefixes.get_or_prepare(&p.design, &self.lib)?;
-                    evaluate_mode_prepared(mode, &prep, p, &self.lib, &self.base)
+                    evaluate_prepared(&prep, p, &self.lib, &self.base)
                 } else {
-                    evaluate_mode_point(mode, p, &self.lib, &self.base)
+                    evaluate_point_from_scratch(p, &self.lib, &self.base)
                 }
             }))
             .unwrap_or_else(|panic| {
@@ -365,7 +339,7 @@ impl Shared {
                     );
                 }
             }
-            let out = self.evaluate_one(&batch.points[i], batch.mode, &batch.hits);
+            let out = self.evaluate_one(&batch.points[i], &batch.hits);
             if out.is_err() {
                 batch.failed.store(true, Ordering::Relaxed);
             }
@@ -530,24 +504,11 @@ impl EvaluatorPool {
     /// Returns the first (by input order) point's scheduling error unless
     /// [`PoolOptions::skip_infeasible`] is set.
     pub fn evaluate(&self, points: &[DsePoint]) -> Result<SweepResult> {
-        self.evaluate_mode(points, self.opts.point_mode)
-    }
-
-    /// [`EvaluatorPool::evaluate`] with an explicit per-batch evaluation
-    /// mode, so one shared server pool serves full, recover, and auto
-    /// requests concurrently (rows never alias — the mode is in the cache
-    /// key).
-    ///
-    /// # Errors
-    ///
-    /// As [`EvaluatorPool::evaluate`].
-    pub fn evaluate_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
         // Route the submitting thread's own evaluations (it always helps
         // drain) to the pool registry, like the background workers.
         let _telemetry = adhls_telemetry::install(&self.shared.registry);
         let batch = Arc::new(Batch::new(
             points.to_vec(),
-            mode,
             self.opts.skip_infeasible,
             self.shared.registry.is_enabled(),
         ));
@@ -824,22 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn recover_mode_rows_dominate_full_mode_baseline() {
-        // Same grid in both modes, each on its own pool: every recovered
-        // row's reported implementation must not exceed its own
-        // conventional baseline, and the baselines must agree bit-for-bit
-        // with full mode's.
-        let pts = fleet();
-        let full = pool(1).evaluate_mode(&pts, PointMode::Full).unwrap();
-        let rec = pool(1).evaluate_mode(&pts, PointMode::Recover).unwrap();
-        assert_eq!(full.rows.len(), rec.rows.len());
-        for (f, r) in full.rows.iter().zip(&rec.rows) {
-            assert_eq!(f.a_conv, r.a_conv, "shared conventional baseline");
-            assert!(r.a_slack <= r.a_conv, "recovered area exceeds baseline");
-        }
-    }
-
-    #[test]
     fn duplicate_points_hit_within_one_sweep() {
         let p = point("dup", 2, 1100);
         let r = pool(1).evaluate(&[p.clone(), p.clone(), p]).unwrap();
@@ -889,36 +834,16 @@ mod tests {
         // panic in debug); the tag+value encoding must keep them distinct
         // without overflowing.
         let base = HlsOptions::default();
-        let m = PointMode::Full;
         let seq = point("k", 2, 1100);
         let mut max_ii = seq.clone();
         max_ii.pipeline_ii = Some(u32::MAX);
-        assert_ne!(point_key(&base, &seq, m), point_key(&base, &max_ii, m));
+        assert_ne!(point_key(&base, &seq), point_key(&base, &max_ii));
         let mut ii0 = seq.clone();
         ii0.pipeline_ii = Some(0);
-        assert_ne!(point_key(&base, &seq, m), point_key(&base, &ii0, m));
-        assert_ne!(point_key(&base, &max_ii, m), point_key(&base, &ii0, m));
+        assert_ne!(point_key(&base, &seq), point_key(&base, &ii0));
+        assert_ne!(point_key(&base, &max_ii), point_key(&base, &ii0));
         // Same point, same key — the memo still works.
-        assert_eq!(
-            point_key(&base, &max_ii, m),
-            point_key(&base, &max_ii.clone(), m)
-        );
-    }
-
-    #[test]
-    fn point_key_distinguishes_modes() {
-        // Full, recover, and auto rows for one point are distinct results;
-        // a shared cache must never serve one for another.
-        let base = HlsOptions::default();
-        let p = point("k", 2, 1100);
-        let keys = [
-            point_key(&base, &p, PointMode::Full),
-            point_key(&base, &p, PointMode::Recover),
-            point_key(&base, &p, PointMode::Auto),
-        ];
-        assert_ne!(keys[0], keys[1]);
-        assert_ne!(keys[0], keys[2]);
-        assert_ne!(keys[1], keys[2]);
+        assert_eq!(point_key(&base, &max_ii), point_key(&base, &max_ii.clone()));
     }
 
     #[test]
@@ -1016,25 +941,6 @@ mod tests {
         let quiet = pool(2);
         assert_eq!(quiet.evaluate(&pts).unwrap().rows, r.rows);
         assert!(quiet.metrics_snapshot().counter("pool.batches").is_none());
-    }
-
-    #[test]
-    fn mixed_mode_batches_share_one_pool_without_aliasing() {
-        // One pool, three modes over the same grid: rows must come from the
-        // right evaluator (recover rows report the recovered binding, full
-        // rows the slack flow) and repeats must hit per mode.
-        let pool = pool(2);
-        let pts = fleet();
-        let full = pool.evaluate_mode(&pts, PointMode::Full).unwrap();
-        let rec = pool.evaluate_mode(&pts, PointMode::Recover).unwrap();
-        assert_eq!(rec.cache_hits, 0, "modes never alias in the cache");
-        for (f, r) in full.rows.iter().zip(&rec.rows) {
-            assert_eq!(f.a_conv, r.a_conv);
-            assert!(r.a_slack <= r.a_conv);
-        }
-        let rec2 = pool.evaluate_mode(&pts, PointMode::Recover).unwrap();
-        assert_eq!(rec2.cache_hits, pts.len() as u64);
-        assert_eq!(rec2.rows, rec.rows);
     }
 
     #[test]

@@ -58,7 +58,6 @@ use crate::pareto::{
 use crate::pool::{EvaluatorPool, SweepResult};
 use crate::sweep::{SweepCell, SweepGrid};
 use adhls_core::dse::{grid_item_time_ps, DsePoint, DseRow};
-use adhls_core::PointMode;
 use adhls_ir::{Design, Error, Result};
 use std::collections::{HashMap, HashSet};
 
@@ -74,29 +73,11 @@ pub trait Evaluator {
     /// Propagates scheduling failures per the implementor's policy (strict
     /// evaluators fail the batch; skip-infeasible evaluators record them).
     fn evaluate_points(&self, points: &[DsePoint]) -> Result<SweepResult>;
-
-    /// Evaluates `points` in an explicit [`PointMode`]. The default
-    /// ignores the mode and delegates to [`Evaluator::evaluate_points`] —
-    /// right for mode-unaware evaluators, whose single behavior *is*
-    /// their full evaluation; [`EvaluatorPool`] overrides it with its
-    /// per-call mode entry.
-    ///
-    /// # Errors
-    ///
-    /// As [`Evaluator::evaluate_points`].
-    fn evaluate_points_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
-        let _ = mode;
-        self.evaluate_points(points)
-    }
 }
 
 impl Evaluator for EvaluatorPool {
     fn evaluate_points(&self, points: &[DsePoint]) -> Result<SweepResult> {
         self.evaluate(points)
-    }
-
-    fn evaluate_points_mode(&self, points: &[DsePoint], mode: PointMode) -> Result<SweepResult> {
-        self.evaluate_mode(points, mode)
     }
 }
 
@@ -169,12 +150,6 @@ pub struct RefineOptions {
     /// mid-round, so rows and trace stay a prefix of the uncancelled
     /// run's). `None` = not cancellable. See [`CancelToken`].
     pub cancel: Option<CancelToken>,
-    /// How refined cells are evaluated: full two-flow synthesis (default),
-    /// the slack-recovery generator, or a per-cell automatic choice
-    /// ([`PointMode::Auto`] — recovery where the cell's latency budget
-    /// leaves positive slack, full otherwise). Applies to every cell the
-    /// refinement submits, seed included.
-    pub point_mode: PointMode,
 }
 
 impl Default for RefineOptions {
@@ -187,7 +162,6 @@ impl Default for RefineOptions {
             objectives: ObjectiveSpace::default(),
             constraints: Vec::new(),
             cancel: None,
-            point_mode: PointMode::Full,
         }
     }
 }
@@ -398,10 +372,6 @@ struct Driver<'a, F> {
     /// Cells already settled — evaluated, skipped as infeasible, or pruned
     /// — and therefore never to be submitted again.
     known: HashSet<Cell>,
-    /// Evaluation mode for every cell this driver submits
-    /// ([`RefineOptions::point_mode`]; [`PointMode::Full`] until a driver
-    /// entry sets it).
-    mode: PointMode,
     rows: Vec<DseRow>,
     row_cells: Vec<Cell>,
     skipped: Vec<(String, String)>,
@@ -454,7 +424,6 @@ impl<'a, F: FnMut(&SweepCell) -> Design> Driver<'a, F> {
                 build,
                 constraints: constraints.to_vec(),
                 known: HashSet::new(),
-                mode: PointMode::Full,
                 rows: Vec::new(),
                 row_cells: Vec::new(),
                 skipped: Vec::new(),
@@ -542,7 +511,7 @@ impl<'a, F: FnMut(&SweepCell) -> Design> Driver<'a, F> {
                 )
             })
             .collect();
-        let result = eval.evaluate_points_mode(&points, self.mode)?;
+        let result = eval.evaluate_points(&points)?;
         let mut row_it = result.rows.into_iter();
         let mut skip_it = result.skipped.into_iter().peekable();
         for (p, &cell) in points.iter().zip(cells) {
@@ -1165,7 +1134,6 @@ where
 
     let gap_tol = clamp_gap_tol(opts.gap_tol);
     let (mut driver, grid_cells) = Driver::prepare(grid, prefix, build, &opts.constraints)?;
-    driver.mode = opts.point_mode;
     let empty_result = |planes: &[ObjectiveSpace]| MultiRefineResult {
         planes: planes
             .iter()

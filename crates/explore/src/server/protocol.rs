@@ -23,7 +23,6 @@ use crate::pool::SweepResult;
 use crate::refine::{MultiRefineResult, MultiRoundTrace, RefineResult, RoundTrace};
 use adhls_core::dse::{summarize, DseRow};
 use adhls_core::json::{escape_into, Value};
-use adhls_core::PointMode;
 use adhls_telemetry::Snapshot;
 use std::fmt::Write as _;
 
@@ -66,12 +65,6 @@ pub struct WorkloadSpec {
     /// front/staircase honors and adaptive refinement clips to. Each
     /// bound's axis must be selected by the active objective space(s).
     pub constraints: Vec<Constraint>,
-    /// How the request's points are evaluated (`mode` field:
-    /// `"full" | "recover" | "auto"`, default full). Recover replaces the
-    /// slack-based flow with post-binding slack recovery; auto chooses per
-    /// cell. One shared pool serves mixed-mode requests — the mode is part
-    /// of every row's cache key.
-    pub mode: PointMode,
 }
 
 /// One parsed request.
@@ -222,6 +215,7 @@ fn parse_spec(doc: &Value) -> Result<WorkloadSpec, String> {
                 .ok_or("`dsl` must be a string")
         })
         .transpose()?;
+    check_mode(doc)?;
     Ok(WorkloadSpec {
         workload,
         dsl,
@@ -237,20 +231,22 @@ fn parse_spec(doc: &Value) -> Result<WorkloadSpec, String> {
         },
         objectives: parse_objectives(doc)?,
         constraints: parse_constraints_field(doc)?,
-        mode: parse_mode(doc)?,
     })
 }
 
-/// Parses the `mode` request field through the one shared definition
-/// ([`PointMode`]'s `FromStr`, the same grammar as CLI `--mode`).
-fn parse_mode(doc: &Value) -> Result<PointMode, String> {
+/// Rejects a retired `mode` request field. Every point runs the
+/// conventional and slack-based flows, so `"full"` names what every
+/// request gets and is accepted; any other value is an error rather than
+/// a silent `full` answer to a client that asked for something else.
+fn check_mode(doc: &Value) -> Result<(), String> {
     match doc.get("mode") {
-        None => Ok(PointMode::Full),
-        Some(v) => v
-            .as_str()
-            .ok_or("`mode` must be a string (full | recover | auto)")?
-            .parse::<PointMode>()
-            .map_err(|e| format!("`mode`: {e}")),
+        None => Ok(()),
+        Some(v) if v.as_str() == Some("full") => Ok(()),
+        Some(_) => Err(
+            "`mode`: the recover/auto point modes were removed; every point runs \
+             the conventional and slack-based flows, so only \"full\" is accepted"
+                .into(),
+        ),
     }
 }
 
@@ -830,6 +826,23 @@ mod tests {
             let (_, cmd) = parse_request(bad);
             let err = cmd.unwrap_err();
             assert!(err.contains("constraints"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn mode_accepts_only_full() {
+        let (_, cmd) = parse_request(r#"{"cmd":"sweep","workload":"idct","mode":"full"}"#);
+        assert!(matches!(cmd, Ok(Command::Sweep(_))), "{cmd:?}");
+        for bad in [
+            r#"{"cmd":"refine","workload":"idct","mode":"recover"}"#,
+            r#"{"cmd":"sweep","workload":"idct","mode":7}"#,
+        ] {
+            let (_, cmd) = parse_request(bad);
+            let err = cmd.unwrap_err();
+            assert!(
+                err.contains("`mode`") && err.contains("removed"),
+                "{bad}: {err}"
+            );
         }
     }
 

@@ -544,7 +544,7 @@ impl Server {
                         )?;
                         ok = false;
                     }
-                    Ok(points) => match self.pool.evaluate_mode(&points, spec.mode) {
+                    Ok(points) => match self.pool.evaluate(&points) {
                         Ok(result) => {
                             let planes: Vec<(ObjectiveSpace, Vec<adhls_core::dse::DseRow>)> =
                                 spaces
@@ -621,7 +621,6 @@ impl Server {
                         objectives: spaces[0].clone(),
                         constraints: spec.constraints.clone(),
                         cancel,
-                        point_mode: spec.mode,
                         ..Default::default()
                     };
                     let mut stream_err: Option<std::io::Error> = None;

@@ -10,17 +10,12 @@
 //! states change the ASAP/ALAP bounds baked into the prefix, so latency
 //! cells are distinct designs with distinct prefixes).
 
-use adhls_core::dse::DsePoint;
 use adhls_core::sched::{Flow, HlsOptions};
-use adhls_core::PointMode;
 use adhls_explore::fingerprint::{
     design_fingerprint, options_fingerprint, prefix_options_fingerprint,
 };
-use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_ir::builder::DesignBuilder;
 use adhls_ir::{Design, OpKind};
-use adhls_reslib::tsmc90;
-use adhls_telemetry::Registry;
 use adhls_timing::budget::SlackEngine;
 use adhls_timing::{BudgetOptions, SlackMode};
 use proptest::prelude::*;
@@ -186,72 +181,6 @@ proptest! {
             design_fingerprint(&base),
             design_fingerprint(&chain(width, waits, ops + 1)),
             "a structure change must get a fresh prefix"
-        );
-    }
-
-    /// The evaluation mode sits exactly once in the cache hierarchy: in
-    /// the per-point *row* key (modes never alias — a recover row cached
-    /// first is never served to a full request, and vice versa) and NOT
-    /// in the prefix key (all modes of one design share one prepared
-    /// prefix, so the meter counts one miss per design, not per
-    /// design × mode).
-    #[test]
-    fn modes_share_prefixes_but_never_alias_rows(
-        wait_seeds in prop::collection::vec(0u32..5, 2..4),
-        clock_seeds in prop::collection::vec(0u16..6, 2..4),
-    ) {
-        let mut waits: Vec<u32> = wait_seeds.clone();
-        waits.sort_unstable();
-        waits.dedup();
-        let mut clocks: Vec<u64> = clock_seeds.iter().map(|&s| 1100 + 170 * u64::from(s)).collect();
-        clocks.sort_unstable();
-        clocks.dedup();
-        let points: Vec<DsePoint> = waits
-            .iter()
-            .flat_map(|&w| {
-                clocks.iter().map(move |&c| (w, c))
-            })
-            .map(|(w, c)| DsePoint {
-                name: format!("fp-w{w}-c{c}"),
-                design: chain(8, w, 3),
-                clock_ps: c,
-                pipeline_ii: None,
-                cycles_per_item: w + 1,
-            })
-            .collect();
-
-        let registry = Registry::new();
-        registry.set_enabled(true);
-        // Serial worker for exact prefix-consult arithmetic (racing
-        // workers both count a benign miss on the same absent prefix).
-        let shared = EvaluatorPool::with_telemetry(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions { threads: 1, skip_infeasible: true, ..Default::default() },
-            registry,
-        );
-        let rec1 = shared.evaluate_mode(&points, PointMode::Recover).expect("recover runs");
-        let full1 = shared.evaluate_mode(&points, PointMode::Full).expect("full runs");
-        let rec2 = shared.evaluate_mode(&points, PointMode::Recover).expect("recover re-runs");
-        prop_assert_eq!(&rec1.rows, &rec2.rows, "re-served recover rows changed");
-
-        // The shared cache never leaked a recover row into full's answer:
-        // a fresh full-only pool agrees bit for bit.
-        let fresh = EvaluatorPool::new(
-            tsmc90::library(),
-            HlsOptions::default(),
-            PoolOptions { threads: 1, skip_infeasible: true, ..Default::default() },
-        );
-        let full2 = fresh.evaluate_mode(&points, PointMode::Full).expect("full re-runs");
-        prop_assert_eq!(&full1.rows, &full2.rows, "mode aliasing corrupted a full row");
-
-        // Prefix sharing across modes: one miss per distinct design, no
-        // matter how many modes evaluated it.
-        let snap = shared.metrics_snapshot();
-        prop_assert_eq!(
-            snap.counter("pipeline.prefix.miss"),
-            Some(waits.len() as u64),
-            "prefix cache split by mode"
         );
     }
 }

@@ -1,5 +1,5 @@
-//! Edge-case coverage for the slack analysis surface the recovery pass
-//! leans on (`compute_slack`, `SlackResult::min_slack`,
+//! Edge-case coverage for the public slack analysis surface
+//! (`compute_slack`, `SlackResult::min_slack`,
 //! `SlackResult::critical_ops`): empty results, all-critical designs,
 //! negative slack, and margin-binning boundary behavior.
 
@@ -31,7 +31,7 @@ fn timed(d: &Design) -> TimedDfg {
 
 /// An empty result (no ops at all) reports `i64::MAX` min slack and an
 /// empty critical set for every margin — the documented degenerate
-/// behavior `recover_grades` relies on for op-free designs.
+/// behavior for op-free designs.
 #[test]
 fn empty_result_has_max_min_slack_and_no_critical_ops() {
     let r = SlackResult {
