@@ -6,19 +6,22 @@
 //! sweeps (every point a cache hit), and warm adaptive refinements. The
 //! cold path is the same HLS work `explore_parallel` already tracks.
 //!
-//! The `serve/concurrent_refines_*` pair is the multi-worker acceptance
-//! comparison: a fixed working set of concurrent refinements against one
-//! single-pool worker vs a router over two workers of the **same
-//! configuration** — same requests, bit-identical responses, throughput
-//! scaling with the aggregate warm-cache capacity the extra worker
-//! brings.
+//! The `serve/concurrent_refines_*` trio drives one fixed working set of
+//! concurrent refinements three ways: `1worker` is one single-thread pool
+//! with the per-worker cache budget, `2workers` a router over two such
+//! workers (twice the threads and twice the aggregate cache), and
+//! `1pool_2threads` the equal-resources control — one pool with the
+//! router's totals, 2 threads and twice the budget. `2workers` beating
+//! `1worker` shows what the extra resources buy; only the comparison with
+//! `1pool_2threads` says whether routing itself pays. Responses are
+//! bit-identical in all three.
 
 use adhls_core::sched::HlsOptions;
 use adhls_explore::fingerprint::Fnv;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::protocol::parse_request;
 use adhls_explore::server::{
-    in_process_factory, routing_fingerprint, Command, Router, RouterOptions, Server,
+    in_process_factory, routing_fingerprint, Command, Frontend, Router, RouterOptions, Server,
 };
 use adhls_reslib::tsmc90;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -35,6 +38,14 @@ fn roundtrip(server: &Server, req: &str) -> usize {
     server
         .serve_connection(req.as_bytes(), &mut out)
         .expect("in-memory serve");
+    out.len()
+}
+
+/// Answers one request line through `front`'s full accounting path;
+/// returns the response size.
+fn answer(front: &impl Frontend, req: &str) -> usize {
+    let mut out = Vec::new();
+    front.handle_line(req, &mut out).expect("in-memory serve");
     out.len()
 }
 
@@ -149,14 +160,14 @@ fn bench(c: &mut Criterion) {
         "working set no longer overflows one worker's cache \
          (shards {shard_bytes:?}, budget {budget}); rebalance the grids"
     );
-    let worker_pool = move || {
+    let pool_with = move |threads: usize, cache_bytes: usize| {
         EvaluatorPool::new(
             tsmc90::library(),
             HlsOptions::default(),
             PoolOptions {
-                threads: 1,
+                threads,
                 skip_infeasible: true,
-                cache_bytes: Some(budget),
+                cache_bytes: Some(cache_bytes),
                 incremental: true,
             },
         )
@@ -171,22 +182,13 @@ fn bench(c: &mut Criterion) {
         })
     };
 
-    let single = Server::new(worker_pool());
+    let single = Server::new(pool_with(1, budget));
     c.bench_function("serve/concurrent_refines_1worker", |b| {
-        b.iter(|| {
-            let handle = |req: &str| -> usize {
-                let mut out = Vec::new();
-                single
-                    .handle_line(req, &mut out)
-                    .expect("single-pool serve");
-                out.len()
-            };
-            black_box(drive(&handle, &working_set))
-        });
+        b.iter(|| black_box(drive(&|req| answer(&single, req), &working_set)));
     });
 
     let router = Router::new(
-        in_process_factory(move |_idx| worker_pool()),
+        in_process_factory(move |_idx| pool_with(1, budget)),
         RouterOptions {
             workers: 2,
             ..Default::default()
@@ -194,14 +196,12 @@ fn bench(c: &mut Criterion) {
     )
     .expect("router spawns");
     c.bench_function("serve/concurrent_refines_2workers", |b| {
-        b.iter(|| {
-            let handle = |req: &str| -> usize {
-                let mut out = Vec::new();
-                router.handle_line(req, &mut out).expect("routed serve");
-                out.len()
-            };
-            black_box(drive(&handle, &working_set))
-        });
+        b.iter(|| black_box(drive(&|req| answer(&router, req), &working_set)));
+    });
+
+    let pooled = Server::new(pool_with(2, 2 * budget));
+    c.bench_function("serve/concurrent_refines_1pool_2threads", |b| {
+        b.iter(|| black_box(drive(&|req| answer(&pooled, req), &working_set)));
     });
 
     c.bench_function("serve/sweep_cold_pool", |b| {

@@ -6,16 +6,16 @@
 //! single-pool mode all connections share one evaluator pool: worker
 //! threads, the budgeted cross-request result cache, and in-flight
 //! coalescing. With `--workers N` the process becomes a router over N
-//! worker backends (in-process by default, `--worker-mode process` for
-//! child processes), consistent-hashing requests so each worker's cache
-//! shard stays warm; see `docs/ARCHITECTURE.md`.
+//! child processes (this binary in single-pool mode), consistent-hashing
+//! requests so each worker's cache shard stays warm; see
+//! `docs/ARCHITECTURE.md`. Both tiers run the same transport
+//! ([`Frontend`]), so everything after choosing the tier is one path.
 
 use crate::opts::Opts;
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
-use adhls_explore::server::{
-    in_process_factory, spawn_process_worker, Router, RouterOptions, Server,
-};
+use adhls_explore::server::{spawn_process_worker, Frontend, Router, RouterOptions, Server};
+use std::net::TcpListener;
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let o = Opts::parse(
@@ -35,6 +35,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if !o.positional.is_empty() {
         return Err("serve takes no positional arguments".into());
     }
+    if let Some(mode) = o.get("--worker-mode").filter(|&m| m != "process") {
+        return Err(format!(
+            "--worker-mode: only `process` workers remain (got `{mode}`); thread workers \
+             were removed because routing over them was no faster than one pool with the \
+             same threads"
+        ));
+    }
     let cache_bytes = o.get("--cache-bytes").map(parse_bytes).transpose()?;
     let pool_opts = PoolOptions {
         threads: o.num("--threads", 0usize)?,
@@ -45,26 +52,35 @@ pub fn run(args: &[String]) -> Result<(), String> {
         cache_bytes,
         incremental: o.switch("--incremental", true)?,
     };
+    let slow_ms = o.num("--slow-ms", 0u64)?;
     let workers = o.num("--workers", 0usize)?;
-    if workers > 0 {
-        return run_router(&o, workers, &pool_opts);
+    let listeners = bind(&o)?;
+    if workers == 0 {
+        if o.get("--queue-cap").is_some() || o.get("--worker-mode").is_some() {
+            return Err("--queue-cap/--worker-mode need router mode (--workers N)".into());
+        }
+        let pool = EvaluatorPool::new(
+            adhls_reslib::tsmc90::library(),
+            HlsOptions::default(),
+            pool_opts,
+        );
+        return serve(&Server::new(pool), slow_ms, listeners, None);
     }
-    if o.get("--queue-cap").is_some() || o.get("--worker-mode").is_some() {
-        return Err("--queue-cap/--worker-mode need router mode (--workers N)".into());
-    }
-    let pool = EvaluatorPool::new(
-        adhls_reslib::tsmc90::library(),
-        HlsOptions::default(),
-        pool_opts,
+    let router = spawn_router(&o, workers, &pool_opts)?;
+    let banner = format!(
+        "adhls serve routing over {} process workers",
+        router.workers()
     );
-    let server = Server::new(pool);
-    if let Some(ms) = o.get("--slow-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("--slow-ms: `{ms}` is not a millisecond count"))?;
-        server.set_slow_ms(ms);
-    }
+    serve(&router, slow_ms, listeners, Some(banner))
+}
 
+/// The protocol listener and the optional `--metrics-addr` exposition
+/// listener; `None` for `--stdio`.
+type Listeners = Option<(TcpListener, Option<TcpListener>)>;
+
+/// Checks the transport flags and binds the listeners — before any worker
+/// is spawned, so a bad address fails the whole command up front.
+fn bind(o: &Opts) -> Result<Listeners, String> {
     if o.flag("--stdio") {
         if o.get("--addr").is_some() {
             return Err("--stdio and --addr are mutually exclusive".into());
@@ -74,28 +90,77 @@ pub fn run(args: &[String]) -> Result<(), String> {
         if o.get("--metrics-addr").is_some() {
             return Err("--metrics-addr needs the TCP server (drop --stdio)".into());
         }
-        return server
-            .serve_connection(std::io::stdin().lock(), std::io::stdout().lock())
-            .map_err(|e| format!("serve (stdio): {e}"));
+        return Ok(None);
     }
-
-    // Bind the metrics listener before announcing the protocol port, so a
-    // bad --metrics-addr fails the whole command up front.
     let metrics_listener = match o.get("--metrics-addr") {
         None => None,
         Some(addr) => Some(
-            std::net::TcpListener::bind(addr)
-                .map_err(|e| format!("binding metrics address {addr}: {e}"))?,
+            TcpListener::bind(addr).map_err(|e| format!("binding metrics address {addr}: {e}"))?,
         ),
     };
     let addr = o.get("--addr").unwrap_or("127.0.0.1:7130");
-    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+    let listener = TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
+    Ok(Some((listener, metrics_listener)))
+}
+
+/// Router mode (`--workers N`): N children running this same binary in
+/// single-pool serve mode on ephemeral ports, behind the consistent-hashing
+/// router/aggregator.
+fn spawn_router(o: &Opts, workers: usize, pool_opts: &PoolOptions) -> Result<Router, String> {
+    let opts = RouterOptions {
+        workers,
+        queue_cap: o.num("--queue-cap", RouterOptions::default().queue_cap)?,
+        ..RouterOptions::default()
+    };
+    if opts.queue_cap == 0 {
+        return Err("--queue-cap must be >= 1".into());
+    }
+    let mut forwarded: Vec<String> = vec!["serve".into(), "--addr".into(), "127.0.0.1:0".into()];
+    for key in ["--threads", "--cache-bytes"] {
+        if let Some(v) = o.get(key) {
+            forwarded.push(key.into());
+            forwarded.push(v.into());
+        }
+    }
+    if o.flag("--strict") {
+        forwarded.push("--strict".into());
+    }
+    forwarded.push(format!(
+        "--incremental={}",
+        if pool_opts.incremental { "on" } else { "off" }
+    ));
+    let factory = Box::new(move |_idx| {
+        let exe = std::env::current_exe()?;
+        let mut cmd = std::process::Command::new(exe);
+        cmd.args(&forwarded);
+        spawn_process_worker(&mut cmd)
+    });
+    Router::new(factory, opts).map_err(|e| format!("spawning workers: {e}"))
+}
+
+/// The one serve path both tiers share: a stdio session, or the TCP
+/// listeners with their startup banners (`routing` is the router's).
+fn serve(
+    front: &impl Frontend,
+    slow_ms: u64,
+    listeners: Listeners,
+    routing: Option<String>,
+) -> Result<(), String> {
+    front.set_slow_ms(slow_ms);
+    let Some((listener, metrics_listener)) = listeners else {
+        return front
+            .serve_connection(std::io::stdin().lock(), std::io::stdout().lock())
+            .map_err(|e| format!("serve (stdio): {e}"));
+    };
     let local = listener
         .local_addr()
         .map_err(|e| format!("resolving the bound address: {e}"))?;
     // One parseable line on stdout per listener so scripts (and the e2e
     // tests) learn the actual ports when an address ends in :0.
     println!("adhls serve listening on {local}");
+    if let Some(banner) = routing {
+        println!("{banner}");
+    }
     if let Some(ml) = &metrics_listener {
         let mlocal = ml
             .local_addr()
@@ -109,125 +174,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
     std::thread::scope(|scope| {
         if let Some(ml) = &metrics_listener {
             scope.spawn(|| {
-                if let Err(e) = server.serve_metrics(ml) {
+                if let Err(e) = front.serve_metrics(ml) {
                     eprintln!("adhls serve: metrics listener failed: {e}");
                 }
             });
         }
-        server.serve_tcp(&listener)
-    })
-    .map_err(|e| format!("serve: {e}"))?;
-    eprintln!("adhls serve: shutdown requested, exiting");
-    Ok(())
-}
-
-/// Router mode (`--workers N`): spawn N worker backends and serve the
-/// client protocol through the consistent-hashing router/aggregator.
-fn run_router(o: &Opts, workers: usize, pool_opts: &PoolOptions) -> Result<(), String> {
-    if o.get("--slow-ms").is_some() {
-        return Err("--slow-ms applies to single-pool mode (drop --workers)".into());
-    }
-    let opts = RouterOptions {
-        workers,
-        queue_cap: o.num("--queue-cap", RouterOptions::default().queue_cap)?,
-        ..RouterOptions::default()
-    };
-    if opts.queue_cap == 0 {
-        return Err("--queue-cap must be >= 1".into());
-    }
-    let mode = o.get("--worker-mode").unwrap_or("thread");
-    let factory = match mode {
-        // Worker threads in this process, each over its own pool — the
-        // default: no extra processes, same sharding and fault surface.
-        "thread" => {
-            let pool_opts = pool_opts.clone();
-            in_process_factory(move |_idx| {
-                EvaluatorPool::new(
-                    adhls_reslib::tsmc90::library(),
-                    HlsOptions::default(),
-                    pool_opts.clone(),
-                )
-            })
-        }
-        // Child processes: this same binary in single-pool serve mode on
-        // an ephemeral port, for real process isolation.
-        "process" => {
-            let mut forwarded: Vec<String> =
-                vec!["serve".into(), "--addr".into(), "127.0.0.1:0".into()];
-            for key in ["--threads", "--cache-bytes"] {
-                if let Some(v) = o.get(key) {
-                    forwarded.push(key.into());
-                    forwarded.push(v.into());
-                }
-            }
-            if o.flag("--strict") {
-                forwarded.push("--strict".into());
-            }
-            forwarded.push(format!(
-                "--incremental={}",
-                if pool_opts.incremental { "on" } else { "off" }
-            ));
-            Box::new(move |_idx| {
-                let exe = std::env::current_exe()?;
-                let mut cmd = std::process::Command::new(exe);
-                cmd.args(&forwarded);
-                spawn_process_worker(&mut cmd)
-            })
-        }
-        other => {
-            return Err(format!(
-                "--worker-mode: `{other}` is not a worker mode (thread | process)"
-            ))
-        }
-    };
-    let router = Router::new(factory, opts).map_err(|e| format!("spawning workers: {e}"))?;
-
-    if o.flag("--stdio") {
-        if o.get("--addr").is_some() {
-            return Err("--stdio and --addr are mutually exclusive".into());
-        }
-        if o.get("--metrics-addr").is_some() {
-            return Err("--metrics-addr needs the TCP server (drop --stdio)".into());
-        }
-        return router
-            .serve_connection(std::io::stdin().lock(), std::io::stdout().lock())
-            .map_err(|e| format!("serve (stdio): {e}"));
-    }
-
-    let metrics_listener = match o.get("--metrics-addr") {
-        None => None,
-        Some(addr) => Some(
-            std::net::TcpListener::bind(addr)
-                .map_err(|e| format!("binding metrics address {addr}: {e}"))?,
-        ),
-    };
-    let addr = o.get("--addr").unwrap_or("127.0.0.1:7130");
-    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("resolving the bound address: {e}"))?;
-    println!("adhls serve listening on {local}");
-    println!(
-        "adhls serve routing over {} {mode} workers",
-        router.workers()
-    );
-    if let Some(ml) = &metrics_listener {
-        let mlocal = ml
-            .local_addr()
-            .map_err(|e| format!("resolving the metrics address: {e}"))?;
-        println!("adhls serve metrics on {mlocal}");
-    }
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
-    std::thread::scope(|scope| {
-        if let Some(ml) = &metrics_listener {
-            scope.spawn(|| {
-                if let Err(e) = router.serve_metrics(ml) {
-                    eprintln!("adhls serve: metrics listener failed: {e}");
-                }
-            });
-        }
-        router.serve_tcp(&listener)
+        front.serve_tcp(&listener)
     })
     .map_err(|e| format!("serve: {e}"))?;
     eprintln!("adhls serve: shutdown requested, exiting");

@@ -103,13 +103,12 @@ SERVE OPTIONS (line-delimited JSON protocol; see docs/PROTOCOL.md):
                           over HTTP on this address (port 0 picks a free
                           port, printed on stdout)
     --slow-ms <MS>        log requests slower than this threshold to
-                          stderr (0 disables; single-pool mode only)
-                                                        [default: off]
-    --workers <N>         route requests over N worker backends with
-                          consistent-hashed cache sharding (0 = classic
-                          single-pool mode)             [default: 0]
-    --worker-mode <M>     worker backend kind: `thread` (in-process) or
-                          `process` (spawned children)  [default: thread]
+                          stderr (0 disables)           [default: off]
+    --workers <N>         route requests over N child worker processes
+                          with consistent-hashed cache sharding (0 =
+                          classic single-pool mode)     [default: 0]
+    --worker-mode <M>     worker backend kind: only `process` (thread
+                          workers were removed)         [default: process]
     --queue-cap <N>       per-worker in-flight cap; overflow gets a
                           structured `busy` result      [default: 64]
 

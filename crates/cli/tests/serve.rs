@@ -413,6 +413,57 @@ fn stdio_transport_answers_ping_and_sweep() {
     );
 }
 
+/// Router mode shares the single-pool transport: `--slow-ms` logs a slow
+/// routed request, and the removed thread-worker mode is refused with a
+/// message saying why.
+#[test]
+fn routed_stdio_logs_slow_requests_and_thread_workers_are_refused() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_adhls"))
+        .args(["serve", "--stdio", "--workers", "1", "--slow-ms", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("adhls serve --stdio --workers 1 spawns");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(
+            b"{\"id\":1,\"cmd\":\"sweep\",\"workload\":\"interpolation\",\
+              \"clocks\":[1100,1400],\"cycles\":[3,4]}\n",
+        )
+        .expect("write request");
+    let out = child.wait_with_output().expect("stdio serve exits on EOF");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"ok\":true"), "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("slow request #1: sweep"),
+        "no slow-request log in router mode: {stderr}"
+    );
+
+    let out = Command::new(env!("CARGO_BIN_EXE_adhls"))
+        .args([
+            "serve",
+            "--stdio",
+            "--workers",
+            "2",
+            "--worker-mode",
+            "thread",
+        ])
+        .stdin(Stdio::null())
+        .output()
+        .expect("adhls serve runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("thread workers were removed"),
+        "unexpected refusal: {stderr}"
+    );
+}
+
 /// The multi-worker acceptance path against the release binary over real
 /// TCP: `--workers 2` routes concurrent refinements to sharded workers,
 /// the fronts stay bit-identical to a direct serial run, a `cancel`

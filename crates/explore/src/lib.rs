@@ -109,7 +109,7 @@ pub mod prelude {
         Evaluator, MultiRefineResult, MultiRoundTrace, RefineOptions, RefineResult, RoundTrace,
         WarmStart,
     };
-    pub use crate::server::{CacheStats, Router, RouterOptions, Server, WorkloadSpec};
+    pub use crate::server::{CacheStats, Frontend, Router, RouterOptions, Server, WorkloadSpec};
     pub use crate::sweep::{SweepCell, SweepGrid};
     pub use adhls_core::dse::{DsePoint, DseRow};
 }

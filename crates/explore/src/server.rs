@@ -9,14 +9,19 @@
 //!   `refine`, `stats`, `metrics`, `ping`, `shutdown` requests; streamed `round`
 //!   progress events; terminal `result` messages whose row arrays are
 //!   byte-compatible with the file exporters,
-//! * [`session`] — request dispatch onto the pool, per-connection
-//!   threads, and the TCP / reader-writer (stdio) front-ends,
+//! * [`frontend`] — the transport both serve tiers share: line framing,
+//!   request accounting, the bounded TCP accept loop, the reader-writer
+//!   (stdio) loop, and the Prometheus scrape listener, behind the
+//!   [`Frontend`] trait,
+//! * [`session`] — the single-pool [`Server`]: request dispatch onto one
+//!   pool,
 //! * [`eviction`] — cache lifecycle for long-lived processes: a byte
 //!   budget with per-shard cost-aware LRU eviction, plus in-flight
 //!   coalescing so concurrent requests for the same cell run HLS once,
 //! * [`worker`] — worker backends for multi-worker serving: the
-//!   [`WorkerLink`] transport trait with in-process (pipe + thread) and
-//!   child-process (TCP) implementations,
+//!   [`WorkerLink`] transport trait with child-process (TCP) workers, the
+//!   only kind `adhls serve --workers N` runs, and an in-process (pipe +
+//!   thread) test double,
 //! * [`router`] — the multi-worker front-end: consistent-hash routing of
 //!   requests across workers (so each worker's cache shard stays warm),
 //!   fault recovery by respawn/reassignment, `cancel` forwarding,
@@ -33,12 +38,14 @@
 //! for the request lifecycle.
 
 pub mod eviction;
+pub mod frontend;
 pub mod protocol;
 pub mod router;
 pub mod session;
 pub mod worker;
 
 pub use eviction::{CacheStats, EvictingCache, Outcome};
+pub use frontend::Frontend;
 pub use protocol::{Command, WorkloadSpec};
 pub use router::{Router, RouterOptions};
 pub use session::{

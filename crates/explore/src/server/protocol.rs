@@ -638,7 +638,7 @@ pub fn render_refine_multi_result(id: Option<&Value>, r: &MultiRefineResult) -> 
 
 /// The terminal message for a `stats` request — the compact, stable-schema
 /// summary. Every field is pulled from the same unified [`Snapshot`] the
-/// `metrics` verb renders in full (`Server::metrics_snapshot`), so the two
+/// `metrics` verb renders in full (`Frontend::metrics_snapshot`), so the two
 /// surfaces cannot drift: `hits`/`coalesced`/`misses`/`evictions`/
 /// `entries`/`bytes`/`capacity_bytes` are the cache counters, `requests`/
 /// `uptime_ms`/`in_flight` the serve tier, `threads` the pool. Missing

@@ -32,23 +32,23 @@
 //!   K already relayed.
 //!
 //! Backpressure is explicit: each worker has a queue cap (requests beyond
-//! it get a structured `busy` result instead of unbounded queuing) and the
-//! TCP front-end has a connection bound. `cancel` is forwarded over the
-//! owning worker's control link so it bypasses the data queue and reaches
-//! a mid-refine worker immediately.
+//! it get a structured `busy` result instead of unbounded queuing), and
+//! the shared [`Frontend`] transport bounds TCP connections. `cancel` is
+//! forwarded over the owning worker's control link so it bypasses the
+//! data queue and reaches a mid-refine worker immediately.
 
 use crate::fingerprint::Fnv;
+use crate::server::frontend::{Frontend, Handled, ServeState};
 use crate::server::protocol::{self, Command};
-use crate::server::session::{self, routing_fingerprint, LineStatus, MAX_REQUEST_BYTES};
+use crate::server::session::routing_fingerprint;
 use crate::server::worker::{WorkerFactory, WorkerGuard, WorkerLink};
 use adhls_core::json::Value;
 use adhls_telemetry::{Registry, Snapshot};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Sizing and fault-handling knobs for a [`Router`].
 #[derive(Debug, Clone)]
@@ -58,9 +58,6 @@ pub struct RouterOptions {
     /// Per-worker in-flight/queued request cap: a request routed to a
     /// worker already holding this many gets an immediate `busy` result.
     pub queue_cap: usize,
-    /// TCP connection bound for [`Router::serve_tcp`]; connections beyond
-    /// it are answered with one `busy` line and closed.
-    pub max_connections: usize,
     /// Worker faults tolerated per request before the client gets an
     /// error (each fault costs one respawn or reassignment).
     pub retries: usize,
@@ -80,7 +77,6 @@ impl Default for RouterOptions {
         RouterOptions {
             workers: 2,
             queue_cap: 64,
-            max_connections: 256,
             retries: 2,
             recv_timeout: None,
             ctrl_recv_timeout: Some(Duration::from_secs(5)),
@@ -120,10 +116,7 @@ pub struct Router {
     /// `serve.worker.*` fault counters. Worker registries are aggregated
     /// into it on `stats`/`metrics`.
     registry: Registry,
-    requests: AtomicU64,
-    shutdown: AtomicBool,
-    started: Instant,
-    connections: AtomicUsize,
+    state: ServeState,
     /// In-flight *refine* requests by rendered client `id` → slot index,
     /// so `cancel` from any connection finds the owning worker.
     inflight: Mutex<HashMap<String, usize>>,
@@ -171,11 +164,8 @@ impl Router {
             factory,
             slots: (0..workers).map(|_| Slot::default()).collect(),
             opts,
+            state: ServeState::new(registry.clone()),
             registry,
-            requests: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            connections: AtomicUsize::new(0),
             inflight: Mutex::new(HashMap::new()),
         };
         for idx in 0..workers {
@@ -198,19 +188,6 @@ impl Router {
     #[must_use]
     pub fn workers(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Asks the serve loops to wind down (the TCP accept loop stops and
-    /// connection loops exit at their next idle moment). Workers are shut
-    /// down by the `shutdown` verb handler, not here.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-
-    /// True once shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
     }
 
     /// Wires a fresh worker handle into `slot` (data lock already held by
@@ -474,7 +451,36 @@ impl Router {
         }
     }
 
-    /// One aggregated snapshot across the router and every live worker.
+    /// Sends `shutdown` to every worker (control link, best-effort), then
+    /// stops their guards. Waits on each slot's data lock, so in-flight
+    /// requests finish before their worker goes down.
+    fn shutdown_workers(&self) {
+        for slot in &self.slots {
+            let mut data = lock(&slot.data);
+            {
+                let mut ctrl = lock(&slot.ctrl);
+                if let Some(link) = ctrl.as_mut() {
+                    let _ = link.send_line("{\"cmd\":\"shutdown\"}");
+                    let _ = link.recv_line();
+                }
+                *ctrl = None;
+            }
+            if let Some(mut half) = data.take() {
+                if let Some(guard) = half.guard.as_mut() {
+                    guard.stop();
+                }
+            }
+            slot.dead.store(true, Ordering::Release);
+        }
+    }
+}
+
+impl Frontend for Router {
+    fn state(&self) -> &ServeState {
+        &self.state
+    }
+
+    /// The router's registry merged with every live worker's metrics.
     ///
     /// Worker counters and gauges are **summed**, except worker `serve.*`
     /// request accounting (`serve.requests`, `serve.ok`, …): the router
@@ -487,9 +493,8 @@ impl Router {
     /// are not merged (bucket-merge is not worth the complexity); the
     /// router's own `serve.request.*` latency histograms — which span the
     /// full routed round trip — are reported instead.
-    #[must_use]
-    #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-    pub fn metrics_snapshot(&self) -> Snapshot {
+    #[allow(clippy::cast_possible_truncation)]
+    fn tier_snapshot(&self) -> Snapshot {
         let mut snap = self.registry.snapshot();
         let mut counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut gauges: BTreeMap<String, i64> = BTreeMap::new();
@@ -529,65 +534,8 @@ impl Router {
         for (name, v) in &gauges {
             snap.push_gauge(name, *v);
         }
-        snap.push_counter("serve.requests", self.requests.load(Ordering::Relaxed));
-        snap.push_gauge("serve.uptime_ms", self.started.elapsed().as_millis() as i64);
         snap.push_gauge("serve.workers", alive);
-        snap.sort();
         snap
-    }
-
-    /// Sends `shutdown` to every worker (control link, best-effort), then
-    /// stops their guards. Waits on each slot's data lock, so in-flight
-    /// requests finish before their worker goes down.
-    fn shutdown_workers(&self) {
-        for slot in &self.slots {
-            let mut data = lock(&slot.data);
-            {
-                let mut ctrl = lock(&slot.ctrl);
-                if let Some(link) = ctrl.as_mut() {
-                    let _ = link.send_line("{\"cmd\":\"shutdown\"}");
-                    let _ = link.recv_line();
-                }
-                *ctrl = None;
-            }
-            if let Some(mut half) = data.take() {
-                if let Some(guard) = half.guard.as_mut() {
-                    guard.stop();
-                }
-            }
-            slot.dead.store(true, Ordering::Release);
-        }
-    }
-
-    /// Handles one request line, mirroring
-    /// [`Server::handle_line`](crate::server::session::Server::handle_line):
-    /// same accounting (`serve.requests`, `serve.ok`/`serve.errors`,
-    /// `serve.request.<verb>` latency), same return contract (`false`
-    /// closes the connection).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `out`; worker-side and request-level
-    /// problems become `ok:false` result lines instead.
-    pub fn handle_line(&self, line: &str, out: &mut dyn Write) -> std::io::Result<bool> {
-        let line = line.trim();
-        if line.is_empty() {
-            return Ok(true);
-        }
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let _in_flight = self.registry.gauge_guard("serve.in_flight");
-        self.registry
-            .counter_add("serve.bytes_read", line.len() as u64);
-        let started = Instant::now();
-        let (id, cmd) = protocol::parse_request(line);
-        let verb = cmd.as_ref().map_or("invalid", |c| c.verb());
-        let (keep_going, ok) = self.dispatch(id.as_ref(), cmd, line, out)?;
-        out.flush()?;
-        let us = started.elapsed().as_secs_f64() * 1e6;
-        self.registry.observe(&format!("serve.request.{verb}"), us);
-        self.registry
-            .counter_add(if ok { "serve.ok" } else { "serve.errors" }, 1);
-        Ok(keep_going)
     }
 
     /// Runs one parsed request: local verbs (`ping`, `stats`, `metrics`,
@@ -599,7 +547,7 @@ impl Router {
         cmd: Result<Command, String>,
         line: &str,
         out: &mut dyn Write,
-    ) -> std::io::Result<(bool, bool)> {
+    ) -> std::io::Result<Handled> {
         let mut keep_going = true;
         let ok = match cmd {
             Err(msg) => {
@@ -651,210 +599,7 @@ impl Router {
                 self.forward(key, id, line, inflight_key.as_deref(), out)?
             }
         };
-        Ok((keep_going, ok))
-    }
-
-    /// Serves one connection from any reader/writer pair until EOF or a
-    /// `shutdown` request — the router-side mirror of
-    /// [`Server::serve_connection`](crate::server::session::Server::serve_connection),
-    /// with the same oversized-line handling.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from either side.
-    pub fn serve_connection(
-        &self,
-        mut reader: impl BufRead,
-        mut writer: impl Write,
-    ) -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        loop {
-            match session::fill_line(&mut reader, &mut buf)? {
-                LineStatus::Eof => return Ok(()),
-                LineStatus::TooLong => return self.refuse_oversized(&mut writer),
-                LineStatus::Complete => {
-                    if !self.handle_buffered_line(&mut buf, &mut writer)? {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Dispatches one complete request line accumulated in `buf`,
-    /// clearing it for the next line.
-    fn handle_buffered_line(
-        &self,
-        buf: &mut Vec<u8>,
-        writer: &mut dyn Write,
-    ) -> std::io::Result<bool> {
-        let keep_going = match std::str::from_utf8(buf) {
-            Ok(line) => self.handle_line(line, writer)?,
-            Err(_) => {
-                self.count_unparseable_request(buf.len());
-                writeln!(
-                    writer,
-                    "{}",
-                    protocol::render_error(None, "request line is not valid UTF-8")
-                )?;
-                writer.flush()?;
-                true
-            }
-        };
-        buf.clear();
-        Ok(keep_going)
-    }
-
-    /// Answers an over-long request line and gives up on the connection.
-    fn refuse_oversized(&self, writer: &mut dyn Write) -> std::io::Result<()> {
-        self.count_unparseable_request(MAX_REQUEST_BYTES);
-        let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-        writeln!(writer, "{}", protocol::render_error(None, &msg))?;
-        writer.flush()
-    }
-
-    /// Accounts a request that never reached [`Router::handle_line`], so
-    /// `metrics` totals reconcile with `serve.requests` on every path.
-    fn count_unparseable_request(&self, bytes: usize) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.registry.counter_add("serve.bytes_read", bytes as u64);
-        self.registry.observe("serve.request.invalid", 0.0);
-        self.registry.counter_add("serve.errors", 1);
-    }
-
-    /// Accepts and serves TCP connections until a `shutdown` request, with
-    /// bounded accept: a connection beyond
-    /// [`RouterOptions::max_connections`] is answered with one `busy` line
-    /// and closed instead of being queued.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener-level I/O errors (per-connection errors only
-    /// drop that connection).
-    pub fn serve_tcp(&self, listener: &TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        std::thread::scope(|scope| loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let admitted =
-                        self.connections.fetch_add(1, Ordering::SeqCst) < self.opts.max_connections;
-                    if admitted {
-                        scope.spawn(move || {
-                            let _ = self.serve_socket(stream);
-                            self.connections.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    } else {
-                        self.connections.fetch_sub(1, Ordering::SeqCst);
-                        self.registry.counter_add("serve.rejected", 1);
-                        let _ = self.refuse_connection(stream);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
-        })
-    }
-
-    /// Answers one over-the-limit connection with a structured `busy`
-    /// line and closes it.
-    fn refuse_connection(&self, mut stream: TcpStream) -> std::io::Result<()> {
-        let msg = format!(
-            "server is at its connection limit ({}); retry later",
-            self.opts.max_connections
-        );
-        writeln!(stream, "{}", protocol::render_busy(None, &msg))?;
-        stream.flush()
-    }
-
-    /// One TCP connection, with the same short-read-timeout shutdown
-    /// responsiveness as the single-pool server.
-    fn serve_socket(&self, stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut buf = Vec::new();
-        loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match session::fill_line(&mut reader, &mut buf) {
-                Ok(LineStatus::Eof) => return Ok(()),
-                Ok(LineStatus::TooLong) => return self.refuse_oversized(&mut writer),
-                Ok(LineStatus::Complete) => {
-                    if !self.handle_buffered_line(&mut buf, &mut writer)? {
-                        return Ok(());
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Serves Prometheus text-format scrapes of the **aggregated**
-    /// snapshot until shutdown — the router-mode `--metrics-addr`
-    /// listener.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener-level I/O errors (per-connection errors only
-    /// drop that scrape).
-    pub fn serve_metrics(&self, listener: &TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.registry.counter_add("serve.scrapes", 1);
-                    let _ = self.answer_scrape(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One exposition response over the aggregated snapshot.
-    fn answer_scrape(&self, mut stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-        let mut head = Vec::new();
-        let mut chunk = [0u8; 1024];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    head.extend_from_slice(&chunk[..n]);
-                    if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= 8 * 1024 {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        let body = self.metrics_snapshot().render_prometheus();
-        let response = format!(
-            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(response.as_bytes())?;
-        stream.flush()
+        Ok(Handled { keep_going, ok })
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! A [`Server`] wraps one [`EvaluatorPool`]; every connection (TCP socket
 //! or an arbitrary reader/writer pair, which is how tests and `adhls serve
-//! --stdio` drive it) pushes request lines through [`Server::handle_line`].
+//! --stdio` drive it) pushes request lines through the shared
+//! [`Frontend`] transport into [`Frontend::dispatch`].
 //! Concurrent connections each run in their own thread, but all of them
 //! submit to the same pool — so their evaluations share worker threads,
 //! the cross-request cache, and in-flight coalescing, and two clients
@@ -19,6 +20,7 @@ use crate::fingerprint::design_fingerprint;
 use crate::pareto::{pareto_front_in_constrained, ObjectiveSpace};
 use crate::pool::EvaluatorPool;
 use crate::refine::{refine_multi_with_progress, refine_with_progress, CancelToken, RefineOptions};
+use crate::server::frontend::{Frontend, Handled, ServeState};
 use crate::server::protocol::{self, Command, WorkloadSpec};
 use crate::sweep::{SweepCell, SweepGrid};
 use adhls_core::dse::DsePoint;
@@ -27,11 +29,8 @@ use adhls_ir::{frontend, Design};
 use adhls_telemetry::Snapshot;
 use adhls_workloads::{idct, interpolation, matmul, sweep};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::Write;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// A per-cell design builder, boxed so grids for different workloads share
 /// one type (and `Send` so refinements can run on pool threads).
@@ -302,16 +301,11 @@ pub fn workload_grid(spec: &WorkloadSpec) -> Result<(SweepGrid, String, BuildFn)
 }
 
 /// A long-lived exploration server multiplexing any number of client
-/// connections onto one [`EvaluatorPool`].
+/// connections onto one [`EvaluatorPool`]. Its transport (framing,
+/// accounting, TCP and scrape listeners) is the shared [`Frontend`].
 pub struct Server {
     pool: EvaluatorPool,
-    requests: AtomicU64,
-    shutdown: AtomicBool,
-    /// Construction time, for `stats`/`metrics` uptime reporting.
-    started: Instant,
-    /// Requests slower than this (milliseconds) are logged to stderr;
-    /// `0` disables slow-request logging.
-    slow_ms: AtomicU64,
+    state: ServeState,
     /// In-flight cancellable requests, keyed by the *rendered* request
     /// `id` (so `7`, `"a1"` and `7.0` resolve exactly as the wire echoes
     /// them). A `cancel` from any connection fires the matching token;
@@ -323,7 +317,7 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("pool", &self.pool)
-            .field("requests", &self.requests)
+            .field("state", &self.state)
             .finish_non_exhaustive()
     }
 }
@@ -341,11 +335,8 @@ impl Server {
     pub fn new(pool: EvaluatorPool) -> Self {
         pool.telemetry().set_enabled(true);
         Server {
+            state: ServeState::new(pool.telemetry().clone()),
             pool,
-            requests: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            started: Instant::now(),
-            slow_ms: AtomicU64::new(0),
             cancels: Mutex::new(HashMap::new()),
         }
     }
@@ -400,103 +391,36 @@ impl Server {
         &self.pool
     }
 
-    /// Logs any request taking longer than `ms` milliseconds to stderr
-    /// (`0` disables, the default).
-    pub fn set_slow_ms(&self, ms: u64) {
-        self.slow_ms.store(ms, Ordering::Relaxed);
-    }
-
-    /// One unified snapshot of everything observable: the pool's registry
-    /// and cache counters ([`EvaluatorPool::metrics_snapshot`]) plus the
-    /// serve tier's own `serve.requests` counter and `serve.uptime_ms`
-    /// gauge. Every export surface — the `stats` and `metrics` verbs, the
-    /// exposition listener — renders from this one snapshot, so they
-    /// cannot drift from each other.
-    #[must_use]
-    #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-    pub fn metrics_snapshot(&self) -> Snapshot {
-        let mut snap = self.pool.metrics_snapshot();
-        snap.push_counter("serve.requests", self.requests.load(Ordering::Relaxed));
-        snap.push_gauge("serve.uptime_ms", self.started.elapsed().as_millis() as i64);
-        snap.sort();
-        snap
-    }
-
-    /// Asks the serve loops to wind down: [`Server::serve_tcp`] stops
-    /// accepting, and connection loops exit at their next idle moment.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-    }
-
-    /// True once shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Handles one request line, writing response line(s) to `out` (each
-    /// flushed, so `round` events stream while the request runs). Returns
-    /// `false` when the connection should close (a `shutdown` request).
+    /// [`Frontend::handle_line`], callable without importing the trait.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from `out`; request-level problems are
-    /// reported to the client as `ok:false` result lines instead.
+    /// Propagates I/O errors from `out`.
     pub fn handle_line(&self, line: &str, out: &mut dyn Write) -> std::io::Result<bool> {
-        let line = line.trim();
-        if line.is_empty() {
-            return Ok(true);
-        }
+        Frontend::handle_line(self, line, out)
+    }
+}
+
+impl Frontend for Server {
+    fn state(&self) -> &ServeState {
+        &self.state
+    }
+
+    fn tier_snapshot(&self) -> Snapshot {
+        self.pool.metrics_snapshot()
+    }
+
+    fn dispatch(
+        &self,
+        id: Option<&Value>,
+        cmd: Result<Command, String>,
+        _line: &str,
+        out: &mut dyn Write,
+    ) -> std::io::Result<Handled> {
         // The pool registry becomes this thread's current registry for the
         // whole request, so refine-level counters (and pipeline spans from
         // the submitter's share of the work) land beside the pool's own.
-        let registry = self.pool.telemetry().clone();
-        let _telemetry = adhls_telemetry::install(&registry);
-        let seq = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        let _in_flight = registry.gauge_guard("serve.in_flight");
-        registry.counter_add("serve.bytes_read", line.len() as u64);
-        let started = registry.is_enabled().then(Instant::now);
-        let (id, cmd) = protocol::parse_request(line);
-        let verb = cmd.as_ref().map_or("invalid", |c| c.verb());
-        let handled = self.dispatch(id.as_ref(), cmd, out)?;
-        out.flush()?;
-        if let Some(t) = started {
-            // Per-request accounting: every counted request ends in exactly
-            // one `serve.request.<verb>` histogram sample and one
-            // ok/errors increment — `metrics` totals reconcile with the
-            // `serve.requests` counter (modulo requests still in flight).
-            let us = t.elapsed().as_secs_f64() * 1e6;
-            registry.observe(&format!("serve.request.{verb}"), us);
-            registry.counter_add(
-                if handled.ok {
-                    "serve.ok"
-                } else {
-                    "serve.errors"
-                },
-                1,
-            );
-            let slow_ms = self.slow_ms.load(Ordering::Relaxed);
-            #[allow(clippy::cast_precision_loss)]
-            if slow_ms > 0 && us >= slow_ms as f64 * 1e3 {
-                eprintln!(
-                    "[adhls serve] slow request #{seq}: {verb} took {:.1} ms \
-                     (threshold {slow_ms} ms)",
-                    us / 1e3
-                );
-            }
-        }
-        Ok(handled.keep_going)
-    }
-
-    /// Runs one parsed request, writing its response line(s). Factored out
-    /// of [`Server::handle_line`] so the wrapper can time the request and
-    /// classify its outcome uniformly.
-    fn dispatch(
-        &self,
-        id: Option<&adhls_core::json::Value>,
-        cmd: Result<Command, String>,
-        out: &mut dyn Write,
-    ) -> std::io::Result<Handled> {
+        let _telemetry = adhls_telemetry::install(self.pool.telemetry());
         let mut ok = true;
         let mut keep_going = true;
         match cmd {
@@ -693,216 +617,6 @@ impl Server {
         }
         Ok(Handled { keep_going, ok })
     }
-
-    /// Serves one connection from any reader/writer pair until EOF or a
-    /// `shutdown` request — the stdio transport, and what tests drive with
-    /// in-memory buffers. Request lines are capped at
-    /// [`MAX_REQUEST_BYTES`]; an oversized line gets an error response and
-    /// closes the connection (the line boundary is lost, so resyncing the
-    /// protocol is not possible).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from either side.
-    pub fn serve_connection(
-        &self,
-        mut reader: impl BufRead,
-        mut writer: impl Write,
-    ) -> std::io::Result<()> {
-        let mut buf = Vec::new();
-        loop {
-            match fill_line(&mut reader, &mut buf)? {
-                LineStatus::Eof => return Ok(()),
-                LineStatus::TooLong => return self.refuse_oversized(&mut writer),
-                LineStatus::Complete => {
-                    let keep_going = self.handle_buffered_line(&mut buf, &mut writer)?;
-                    if !keep_going {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Dispatches one complete request line accumulated in `buf`, clearing
-    /// it for the next line.
-    fn handle_buffered_line(
-        &self,
-        buf: &mut Vec<u8>,
-        writer: &mut dyn Write,
-    ) -> std::io::Result<bool> {
-        let keep_going = match std::str::from_utf8(buf) {
-            Ok(line) => self.handle_line(line, writer)?,
-            Err(_) => {
-                self.count_unparseable_request(buf.len());
-                writeln!(
-                    writer,
-                    "{}",
-                    protocol::render_error(None, "request line is not valid UTF-8")
-                )?;
-                writer.flush()?;
-                true
-            }
-        };
-        buf.clear();
-        Ok(keep_going)
-    }
-
-    /// Answers an over-long request line and gives up on the connection.
-    fn refuse_oversized(&self, writer: &mut dyn Write) -> std::io::Result<()> {
-        self.count_unparseable_request(MAX_REQUEST_BYTES);
-        let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
-        writeln!(writer, "{}", protocol::render_error(None, &msg))?;
-        writer.flush()
-    }
-
-    /// Accounts a request that never reached [`Server::handle_line`]
-    /// (invalid UTF-8, oversized line): it still counts as a request and
-    /// still produces its one `serve.request.invalid` histogram sample, so
-    /// `metrics` totals reconcile with `serve.requests` on every path.
-    fn count_unparseable_request(&self, bytes: usize) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let registry = self.pool.telemetry();
-        registry.counter_add("serve.bytes_read", bytes as u64);
-        registry.observe("serve.request.invalid", 0.0);
-        registry.counter_add("serve.errors", 1);
-    }
-
-    /// Accepts and serves TCP connections until a `shutdown` request (from
-    /// any connection) or [`Server::request_shutdown`]. Each connection is
-    /// handled on its own thread; all of them share this server's pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener-level I/O errors (per-connection errors only
-    /// drop that connection).
-    pub fn serve_tcp(&self, listener: &TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        std::thread::scope(|scope| {
-            loop {
-                if self.is_shutting_down() {
-                    return Ok(());
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        scope.spawn(move || {
-                            // Per-connection errors (reset, parse-level I/O)
-                            // drop the connection, never the server.
-                            let _ = self.serve_socket(stream);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        })
-    }
-
-    /// One TCP connection: read with a short timeout so the loop can notice
-    /// a server-wide shutdown even while a client holds the socket open.
-    /// Oversized request lines (see [`MAX_REQUEST_BYTES`]) get an error
-    /// response and drop the connection.
-    fn serve_socket(&self, stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut writer = stream;
-        let mut buf = Vec::new();
-        loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match fill_line(&mut reader, &mut buf) {
-                Ok(LineStatus::Eof) => return Ok(()),
-                Ok(LineStatus::TooLong) => return self.refuse_oversized(&mut writer),
-                Ok(LineStatus::Complete) => {
-                    if !self.handle_buffered_line(&mut buf, &mut writer)? {
-                        return Ok(());
-                    }
-                }
-                // Read timeout: partial data (if any) stays in `buf`; loop
-                // to re-check the shutdown flag, then keep reading.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Serves Prometheus text-format scrapes (`GET /metrics`-style) until
-    /// shutdown — the `adhls serve --metrics-addr` listener. Each accepted
-    /// connection gets one HTTP/1.0 response rendering
-    /// [`Server::metrics_snapshot`] and is closed; the request head is read
-    /// (bounded, best-effort) only to be polite to HTTP clients. Runs on
-    /// the caller's thread; pair it with [`Server::serve_tcp`] on another.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener-level I/O errors (per-connection errors only
-    /// drop that scrape).
-    pub fn serve_metrics(&self, listener: &TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        loop {
-            if self.is_shutting_down() {
-                return Ok(());
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.pool.telemetry().counter_add("serve.scrapes", 1);
-                    let _ = self.answer_scrape(stream);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One exposition response: drain the request head (until a blank line,
-    /// EOF, a small cap, or a short timeout — scrapers vary), then write
-    /// the snapshot and close.
-    fn answer_scrape(&self, mut stream: TcpStream) -> std::io::Result<()> {
-        stream.set_nonblocking(false)?;
-        stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-        let mut head = Vec::new();
-        let mut chunk = [0u8; 1024];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    head.extend_from_slice(&chunk[..n]);
-                    if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= 8 * 1024 {
-                        break;
-                    }
-                }
-                // A client that writes nothing (netcat probing the port)
-                // still deserves the snapshot.
-                Err(_) => break,
-            }
-        }
-        let body = self.metrics_snapshot().render_prometheus();
-        let response = format!(
-            "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len()
-        );
-        stream.write_all(response.as_bytes())?;
-        stream.flush()
-    }
-}
-
-/// How [`Server::dispatch`] left one request: whether the connection stays
-/// open, and whether the terminal response was `ok:true`.
-struct Handled {
-    keep_going: bool,
-    ok: bool,
 }
 
 /// Removes a request's cancellation-registry entry when the request
@@ -924,68 +638,11 @@ impl Drop for CancelGuard<'_> {
     }
 }
 
-/// Largest accepted request line. Inline DSL sources fit comfortably; a
-/// client streaming bytes with no newline must not grow server memory
-/// without bound.
-pub const MAX_REQUEST_BYTES: usize = 4 << 20;
-
-pub(crate) enum LineStatus {
-    /// A full newline-terminated line is in the buffer (newline stripped).
-    Complete,
-    /// End of stream with nothing further buffered.
-    Eof,
-    /// The line outgrew [`MAX_REQUEST_BYTES`] before its newline arrived.
-    TooLong,
-}
-
-/// Appends bytes to `buf` until a newline, EOF, or the size cap — a capped
-/// `read_line` working in raw bytes so no single call can balloon memory.
-/// Returns `Err` (e.g. `WouldBlock` on a read timeout) with any partial
-/// data retained in `buf` for the next call.
-pub(crate) fn fill_line(
-    reader: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-) -> std::io::Result<LineStatus> {
-    loop {
-        let (newline_at, available) = {
-            let chunk = reader.fill_buf()?;
-            if chunk.is_empty() {
-                // EOF; any unterminated trailing bytes are not a request.
-                return Ok(if buf.is_empty() {
-                    LineStatus::Eof
-                } else {
-                    LineStatus::Complete
-                });
-            }
-            (chunk.iter().position(|&b| b == b'\n'), chunk.len())
-        };
-        match newline_at {
-            Some(pos) => {
-                let chunk = reader.fill_buf()?;
-                buf.extend_from_slice(&chunk[..pos]);
-                reader.consume(pos + 1);
-                return Ok(if buf.len() > MAX_REQUEST_BYTES {
-                    LineStatus::TooLong
-                } else {
-                    LineStatus::Complete
-                });
-            }
-            None => {
-                let chunk = reader.fill_buf()?;
-                buf.extend_from_slice(chunk);
-                reader.consume(available);
-                if buf.len() > MAX_REQUEST_BYTES {
-                    return Ok(LineStatus::TooLong);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pool::PoolOptions;
+    use crate::server::frontend::MAX_REQUEST_BYTES;
     use adhls_core::json::Value;
     use adhls_core::sched::HlsOptions;
     use adhls_reslib::tsmc90;
@@ -1468,7 +1125,8 @@ mod tests {
 
     #[test]
     fn tcp_serves_concurrent_clients_and_stops_on_shutdown() {
-        use std::io::{BufRead as _, Write as _};
+        use std::io::{BufRead as _, BufReader, Write as _};
+        use std::net::{TcpListener, TcpStream};
         let srv = server(4, None);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();

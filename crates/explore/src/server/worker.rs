@@ -9,18 +9,24 @@
 //!
 //! Two implementations share the [`WorkerLink`] trait:
 //!
-//! * **in-process thread workers** ([`WorkerHandle::in_process`]) — a
-//!   [`Server`] served over in-memory pipes on plain threads. Fully
-//!   deterministic, no sockets, no child processes: what the test
-//!   harness, the benches, and `--workers N` default spawning use.
 //! * **child-process workers** ([`spawn_process_worker`]) — a spawned
 //!   `adhls serve --addr 127.0.0.1:0` child, discovered through its
-//!   startup banner and reached over two loopback TCP connections.
+//!   startup banner and reached over two loopback TCP connections. The
+//!   only backend `adhls serve --workers N` runs: on one host, separate
+//!   processes are what routing buys over one pool (fault isolation).
+//! * **in-process test doubles** ([`WorkerHandle::in_process`],
+//!   [`in_process_factory`]) — a [`Server`] served over in-memory pipes
+//!   on plain threads. Fully deterministic, no sockets, no child
+//!   processes: what the router, fault, fuzz and cancel suites and the
+//!   `serve_throughput` bench drive the router with. Routing over them
+//!   measured no faster than one pool with the same threads, so the CLI
+//!   does not offer them.
 //!
 //! The router ([`crate::server::router`]) treats both identically; the
 //! fault-injection suite substitutes its own [`WorkerLink`]s to inject
 //! kills, stalls, and garbage.
 
+use crate::server::frontend::Frontend;
 use crate::server::session::Server;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
@@ -91,8 +97,9 @@ impl std::fmt::Debug for WorkerHandle {
 pub type WorkerFactory = Box<dyn Fn(usize) -> io::Result<WorkerHandle> + Send + Sync>;
 
 impl WorkerHandle {
-    /// An in-process worker: two connections onto `server`, each served by
-    /// a plain thread over in-memory pipes. The threads exit when the
+    /// An in-process worker, the test double for a process worker: two
+    /// connections onto `server`, each served by a plain thread over
+    /// in-memory pipes. The threads exit when the
     /// handle's links drop (their read side sees EOF) or when the server
     /// shuts down; the guard holds the server so a retirement can request
     /// that explicitly.
@@ -119,7 +126,7 @@ impl WorkerGuard for InProcessGuard {
 }
 
 /// One served in-memory connection: the worker side runs
-/// [`Server::serve_connection`] on its own thread; the returned link is
+/// [`Frontend::serve_connection`] on its own thread; the returned link is
 /// the client side.
 fn pipe_connection(server: &Arc<Server>) -> PipeLink {
     let (req_tx, req_rx) = pipe();
@@ -335,7 +342,7 @@ impl WorkerLink for TcpLink {
 struct ProcessGuard {
     child: Child,
     /// Held open so a late child write never hits a closed pipe.
-    _stdout: Option<ChildStdout>,
+    stdout: Option<ChildStdout>,
 }
 
 impl WorkerGuard for ProcessGuard {
@@ -344,6 +351,14 @@ impl WorkerGuard for ProcessGuard {
         // kill is the backstop for a child that no longer listens.
         let _ = self.child.kill();
         let _ = self.child.wait();
+    }
+}
+
+/// A router dropped without a protocol `shutdown` (a `--stdio` session
+/// ending at EOF) must not leave its children serving forever.
+impl Drop for ProcessGuard {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -359,29 +374,23 @@ impl WorkerGuard for ProcessGuard {
 pub fn spawn_process_worker(cmd: &mut Command) -> io::Result<WorkerHandle> {
     cmd.stdin(Stdio::null()).stdout(Stdio::piped());
     let mut child = cmd.spawn()?;
-    let stdout = child.stdout.take().expect("stdout was piped");
-    let mut lines = BufReader::new(stdout);
+    // From here on every early return drops the guard, which kills the
+    // child.
+    let mut guard = ProcessGuard {
+        stdout: child.stdout.take(),
+        child,
+    };
+    let mut banner = BufReader::new(guard.stdout.as_mut().expect("stdout was piped"));
     let addr = loop {
         let mut line = String::new();
-        match lines.read_line(&mut line) {
-            Ok(0) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "worker exited before announcing its address",
-                ));
-            }
-            Ok(_) => {
-                if let Some((_, addr)) = line.trim().rsplit_once("listening on ") {
-                    break addr.trim().to_string();
-                }
-            }
-            Err(e) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Err(e);
-            }
+        if banner.read_line(&mut line)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "worker exited before announcing its address",
+            ));
+        }
+        if let Some((_, addr)) = line.trim().rsplit_once("listening on ") {
+            break addr.trim().to_string();
         }
     };
     let connect = |what: &str| -> io::Result<TcpLink> {
@@ -391,37 +400,21 @@ pub fn spawn_process_worker(cmd: &mut Command) -> io::Result<WorkerHandle> {
         stream.set_nodelay(true)?;
         TcpLink::new(stream)
     };
-    let data = match connect("data") {
-        Ok(l) => l,
-        Err(e) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(e);
-        }
-    };
-    let ctrl = match connect("control") {
-        Ok(l) => l,
-        Err(e) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(e);
-        }
-    };
+    let data = connect("data")?;
+    let ctrl = connect("control")?;
     Ok(WorkerHandle {
         data: Box::new(data),
         ctrl: Box::new(ctrl),
-        guard: Some(Box::new(ProcessGuard {
-            child,
-            _stdout: Some(lines.into_inner()),
-        })),
+        guard: Some(Box::new(guard)),
     })
 }
 
-/// A [`WorkerFactory`] spawning in-process thread workers, each with its
-/// **own** [`EvaluatorPool`](crate::pool::EvaluatorPool) built from
-/// `make_pool` — so every worker owns a private cache shard, exactly like
-/// separate processes would (the router's consistent hashing is what keeps
-/// each shard warm).
+/// A [`WorkerFactory`] spawning in-process thread workers — the test
+/// double for process workers — each with its **own**
+/// [`EvaluatorPool`](crate::pool::EvaluatorPool) built from `make_pool`,
+/// so every worker owns a private cache shard, exactly like separate
+/// processes would (the router's consistent hashing is what keeps each
+/// shard warm).
 #[must_use]
 pub fn in_process_factory(
     make_pool: impl Fn(usize) -> crate::pool::EvaluatorPool + Send + Sync + 'static,

@@ -11,7 +11,7 @@ use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::refine::{refine_with_progress, CancelToken, RefineOptions};
 use adhls_explore::server::protocol::parse_request;
 use adhls_explore::server::worker::pipe;
-use adhls_explore::server::{workload_grid, Command, Server};
+use adhls_explore::server::{workload_grid, Command, Frontend, Server};
 use adhls_reslib::tsmc90;
 use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;

@@ -14,7 +14,7 @@
 use adhls_core::json::Value;
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
-use adhls_explore::server::Server;
+use adhls_explore::server::{Frontend, Server};
 use adhls_reslib::tsmc90;
 
 /// Every JSON object in `doc` with a string `cmd` field and no `event`

@@ -7,8 +7,8 @@
 use adhls_core::json::Value;
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
-use adhls_explore::server::session::MAX_REQUEST_BYTES;
-use adhls_explore::server::{protocol, Server};
+use adhls_explore::server::frontend::MAX_REQUEST_BYTES;
+use adhls_explore::server::{protocol, Frontend, Server};
 use adhls_reslib::tsmc90;
 use proptest::prelude::*;
 
@@ -184,7 +184,8 @@ proptest! {
 
 /// An over-cap request line is refused with a structured error and the
 /// connection is closed (framing is unrecoverable past the cap) — never a
-/// hang or unbounded buffering.
+/// hang or unbounded buffering. A final line cut short by EOF, by
+/// contrast, is still a request and gets its answer.
 #[test]
 fn oversized_lines_are_refused_with_a_structured_error() {
     let mut line = String::with_capacity(MAX_REQUEST_BYTES + 64);
@@ -206,10 +207,25 @@ fn oversized_lines_are_refused_with_a_structured_error() {
             .is_some_and(|e| e.contains("exceeds")),
         "refusal should name the size cap: {text}"
     );
+    assert_unterminated_line_is_answered(&srv);
+}
+
+/// Feeds one request with no trailing newline and checks it is answered.
+fn assert_unterminated_line_is_answered(front: &impl Frontend) {
+    let mut out = Vec::new();
+    front
+        .serve_connection(&br#"{"id":"eof","cmd":"ping"}"#[..], &mut out)
+        .expect("in-memory serve");
+    let text = String::from_utf8(out).expect("responses are UTF-8");
+    assert!(
+        text.contains("\"id\":\"eof\"") && text.contains("\"ok\":true"),
+        "unterminated final line went unanswered: {text:?}"
+    );
 }
 
 /// The same refusal through the router: an oversized line at the router
-/// front-end is refused before any worker sees it.
+/// front-end is refused before any worker sees it, and an unterminated
+/// final line is answered just as a single server answers it.
 #[test]
 fn oversized_lines_are_refused_by_the_router_too() {
     use adhls_explore::server::{in_process_factory, Router, RouterOptions};
@@ -244,4 +260,5 @@ fn oversized_lines_are_refused_by_the_router_too() {
         text.contains("\"ok\":false") && text.contains("exceeds"),
         "router refusal missing: {text}"
     );
+    assert_unterminated_line_is_answered(&router);
 }

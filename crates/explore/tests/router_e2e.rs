@@ -9,7 +9,8 @@ use adhls_explore::fingerprint::Fnv;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::protocol::parse_request;
 use adhls_explore::server::{
-    in_process_factory, routing_fingerprint, sweep_points, Command, Router, RouterOptions, Server,
+    in_process_factory, routing_fingerprint, sweep_points, Command, Frontend, Router,
+    RouterOptions, Server,
 };
 use adhls_reslib::tsmc90;
 

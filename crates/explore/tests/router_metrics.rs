@@ -9,7 +9,7 @@ use adhls_core::json::Value;
 use adhls_core::sched::HlsOptions;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::worker::{WorkerFactory, WorkerHandle};
-use adhls_explore::server::{Router, RouterOptions, Server};
+use adhls_explore::server::{Frontend, Router, RouterOptions, Server};
 use adhls_reslib::tsmc90;
 use std::sync::{Arc, Mutex};
 

@@ -15,7 +15,9 @@ use adhls_explore::fingerprint::Fnv;
 use adhls_explore::pool::{EvaluatorPool, PoolOptions};
 use adhls_explore::server::protocol::parse_request;
 use adhls_explore::server::worker::{WorkerFactory, WorkerHandle, WorkerLink};
-use adhls_explore::server::{routing_fingerprint, Command, Router, RouterOptions, Server};
+use adhls_explore::server::{
+    routing_fingerprint, Command, Frontend, Router, RouterOptions, Server,
+};
 use adhls_reslib::tsmc90;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
